@@ -9,22 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .grid import PuzzleFormatError, is_sudoku_matrix, parse, render
 from .sieve import primes_up_to
-from .solver import ConflictError, SolveReport, solve
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input_path: str | None = None
-    limit: int | None = None
-    cap: int = 1
-    format: str = "generic"
-    stats: bool = False
-    sieve_bound: int = 0
+from .solver import ConflictError, Event, SolveReport, solve
 
 
 def _read_text(path: str) -> str:
@@ -43,26 +31,25 @@ def _stats_line(report: SolveReport) -> str:
             f"trials={report.trials} passes={report.propagation_passes}")
 
 
-def run(config: RunConfig) -> int:
-    """Execute one subcommand and return the process exit code."""
-    if config.subcommand == "sieve":
-        for p in primes_up_to(config.sieve_bound):
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line and return the process exit code."""
+    if args.subcommand == "sieve":
+        for p in primes_up_to(args.bound):
             print(p)
         return 0
 
     try:
-        doc = parse(_read_text(config.input_path))
+        g = parse(_read_text(args.input))
     except (PuzzleFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    g = doc.to_grid()
-    if config.format == "classic" and g.order != 3:
+    if args.format == "classic" and g.order != 3:
         print("error: classic format requires an order-3 board",
               file=sys.stderr)
         return 2
 
-    if config.subcommand == "check":
-        if doc.blank_count() > 0:
+    if args.subcommand == "check":
+        if g.blank_count() > 0:
             print("error: check requires a complete grid (no blanks)",
                   file=sys.stderr)
             return 2
@@ -70,38 +57,24 @@ def run(config: RunConfig) -> int:
         print("VALID" if ok else "INVALID")
         return 0 if ok else 1
 
-    if config.subcommand == "solve":
-        try:
-            report = solve(g, cap=max(1, config.cap), limit=1)
-        except ConflictError as exc:
-            print(f"conflicting clues: {exc}", file=sys.stderr)
-            print("UNSOLVABLE")
-            return 1
-        if report.solution_count == 0:
-            print("UNSOLVABLE")
-            if config.stats:
-                print(_stats_line(report))
-            return 1
-        sys.stdout.write(render(report.solutions[0], config.format))
-        if config.stats:
-            print(_stats_line(report))
-        return 0
-
-    if config.subcommand == "count":
-        try:
-            report = solve(g, cap=config.cap, limit=config.limit)
-        except ConflictError as exc:
-            print(f"conflicting clues: {exc}", file=sys.stderr)
-            print("solutions=0 trials=0 passes=0" if config.stats
-                  else "solutions=0")
-            return 1
-        if config.stats:
-            print(_stats_line(report))
-        else:
-            print(f"solutions={_count_field(report)}")
-        return 0 if report.solution_count > 0 else 1
-
-    raise ValueError(f"unknown subcommand {config.subcommand!r}")
+    solving = args.subcommand == "solve"
+    try:
+        report = solve(g, cap=max(1, args.cap) if solving else args.cap,
+                       limit=1 if solving else args.limit)
+    except ConflictError as exc:
+        print(f"conflicting clues: {exc}", file=sys.stderr)
+        report = SolveReport(solution_count=0, solutions=[], trials=0,
+                             propagation_passes=0,
+                             terminal_event=Event.E1_CONTRADICTION)
+    if solving and report.solution_count == 0:
+        print("UNSOLVABLE")
+    elif solving:
+        sys.stdout.write(render(report.solutions[0], args.format))
+    elif not args.stats:
+        print(f"solutions={_count_field(report)}")
+    if args.stats:
+        print(_stats_line(report))
+    return 0 if report.solution_count > 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,18 +118,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.cap < 0:
         parser.error("--cap must be >= 0")
-    limit = getattr(args, "limit", None)
-    if limit is not None and limit < 1:
+    if getattr(args, "limit", None) is not None and args.limit < 1:
         parser.error("--limit must be >= 1")
     if args.subcommand == "sieve" and args.bound < 0:
         parser.error("N must be >= 0")
-    config = RunConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input", None),
-        limit=limit,
-        cap=args.cap,
-        format=args.format,
-        stats=args.stats,
-        sieve_bound=getattr(args, "bound", 0),
-    )
-    return run(config)
+    return run(args)

@@ -81,7 +81,20 @@ class Grid:
             raise IndexError(f"cell ({i}, {j}) outside 1..{self.side}")
 
     def copy(self) -> "Grid":
-        return Grid(self.order, [row[:] for row in self.cells])
+        """An independent copy; the constructor copies every row."""
+        return Grid(self.order, self.cells)
+
+    to_grid = copy
+
+    def clues(self) -> Iterator[tuple[int, int, int]]:
+        """Nonzero cells as 1-based (row, column, value) triples."""
+        for r in range(self.side):
+            for c in range(self.side):
+                if self.cells[r][c] != 0:
+                    yield r + 1, c + 1, self.cells[r][c]
+
+    def blank_count(self) -> int:
+        return sum(row.count(0) for row in self.cells)
 
     def blank_positions(self) -> Iterator[tuple[int, int]]:
         """Blank cells as 1-based (i, j), row-major."""
@@ -134,49 +147,16 @@ def first_conflict(g: Grid) -> tuple[str, int, int] | None:
     return None
 
 
-@dataclass
-class PuzzleDocument:
-    """A parsed puzzle: board order plus the full cell array (0 = blank)."""
-
-    order: int
-    cells: list[list[int]]
-
-    def __post_init__(self) -> None:
-        if not MIN_ORDER <= self.order <= MAX_ORDER:
-            raise ValueError(
-                f"order {self.order} outside [{MIN_ORDER}, {MAX_ORDER}]")
-        m = self.side
-        if len(self.cells) != m or any(len(row) != m for row in self.cells):
-            raise ValueError(f"cell array is not {m}x{m}")
-        for row in self.cells:
-            for v in row:
-                if not 0 <= v <= m:
-                    raise ValueError(f"cell value {v} outside [0, {m}]")
-        self.cells = [list(row) for row in self.cells]
-
-    @property
-    def side(self) -> int:
-        return self.order * self.order
-
-    def clues(self) -> Iterator[tuple[int, int, int]]:
-        """Nonzero cells as 1-based (row, column, value) triples."""
-        for r in range(self.side):
-            for c in range(self.side):
-                if self.cells[r][c] != 0:
-                    yield r + 1, c + 1, self.cells[r][c]
-
-    def blank_count(self) -> int:
-        return sum(row.count(0) for row in self.cells)
-
-    def to_grid(self) -> Grid:
-        return Grid(self.order, [row[:] for row in self.cells])
+# A parsed puzzle is a Grid; the old name stays in the public API.
+PuzzleDocument = Grid
 
 
-def parse(text: str) -> PuzzleDocument:
-    """Parse puzzle text in either accepted format.
+def parse(text: str) -> Grid:
+    """Parse puzzle text in either accepted format into a Grid.
 
     Generic format: the first non-comment line is the order n, followed by
-    n² lines of n² whitespace-separated integers in [0, n²]; lines starting
+    n² lines of n² whitespace-separated ASCII decimal integers in [0, n²]
+    (no sign, no underscores, no other scripts' digits); lines starting
     with '#' are comments.  Classic format (order 3 only): 81 characters
     from "123456789" for clues and '0' or '.' for blanks, with whitespace
     ignored.  A document whose first significant line is a lone integer of
@@ -191,22 +171,13 @@ def parse(text: str) -> PuzzleDocument:
     if not significant:
         raise PuzzleFormatError("empty puzzle document")
 
-    first_tokens = significant[0][1].split()
-    if (len(first_tokens) == 1 and _is_int(first_tokens[0])
-            and len(first_tokens[0]) <= 2):
+    header = significant[0][1]
+    if header.isascii() and header.isdigit() and len(header) <= 2:
         return _parse_generic(significant)
     return _parse_classic(text)
 
 
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
-
-
-def _parse_generic(significant: list[tuple[int, str]]) -> PuzzleDocument:
+def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
     lineno, header = significant[0]
     order = int(header)
     if not MIN_ORDER <= order <= MAX_ORDER:
@@ -230,7 +201,7 @@ def _parse_generic(significant: list[tuple[int, str]]) -> PuzzleDocument:
                 f"expected {m} values per row, found {len(tokens)}", lineno)
         row = []
         for col, token in enumerate(tokens, start=1):
-            if not _is_int(token):
+            if not (token.isascii() and token.isdigit()):
                 raise PuzzleFormatError(
                     f"malformed value {token!r}", lineno, col)
             v = int(token)
@@ -239,10 +210,10 @@ def _parse_generic(significant: list[tuple[int, str]]) -> PuzzleDocument:
                     f"value {v} outside [0, {m}]", lineno, col)
             row.append(v)
         cells.append(row)
-    return PuzzleDocument(order, cells)
+    return Grid(order, cells)
 
 
-def _parse_classic(text: str) -> PuzzleDocument:
+def _parse_classic(text: str) -> Grid:
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -263,10 +234,10 @@ def _parse_classic(text: str) -> PuzzleDocument:
         raise PuzzleFormatError(
             f"classic puzzle needs 81 cells, found {len(values)}")
     cells = [values[r * 9:(r + 1) * 9] for r in range(9)]
-    return PuzzleDocument(3, cells)
+    return Grid(3, cells)
 
 
-def render(board: Grid | PuzzleDocument, fmt: str = "generic") -> str:
+def render(board: Grid, fmt: str = "generic") -> str:
     """Serialize a board; blanks come out as 0.
 
     "generic" works for any order; "classic" is the 81-character single

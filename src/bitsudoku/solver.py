@@ -15,7 +15,7 @@ import bisect
 from dataclasses import dataclass
 from enum import Enum
 
-from .grid import Grid, block_of, first_conflict
+from .grid import Grid, first_conflict
 from .smallset import SmallSet
 
 
@@ -40,23 +40,41 @@ class Event(Enum):
 FEWEST_CANDIDATES = "fewest-candidates"
 FIRST_BLANK = "first-blank"
 
+# (i, j, word bit of the placed value)
 _JournalEntry = tuple[int, int, int]
 
 
 @dataclass
 class SolverState:
-    """A grid plus the missing-value sets and the list of blank cells.
+    """A grid plus the missing-value words and the list of blank cells.
 
-    row_missing[i-1], col_missing[j-1], and block_missing[k-1][l-1] hold
-    the values absent from row i, column j, and block (k, l); blanks is
-    row-major sorted.  All are kept in lockstep with the grid.
+    rows[i-1], cols[j-1], and blocks[(k-1)*n + l-1] are int words holding
+    the values absent from row i, column j, and block (k, l), value d at
+    bit d-1; blanks is row-major sorted.  All are kept in lockstep with the
+    grid.  row_missing, col_missing, and block_missing view the words as
+    SmallSets.
     """
 
     grid: Grid
-    row_missing: list[SmallSet]
-    col_missing: list[SmallSet]
-    block_missing: list[list[SmallSet]]
+    rows: list[int]
+    cols: list[int]
+    blocks: list[int]
     blanks: list[tuple[int, int]]
+
+    @property
+    def row_missing(self) -> list[SmallSet]:
+        return [SmallSet(w, self.grid.side) for w in self.rows]
+
+    @property
+    def col_missing(self) -> list[SmallSet]:
+        return [SmallSet(w, self.grid.side) for w in self.cols]
+
+    @property
+    def block_missing(self) -> list[list[SmallSet]]:
+        """Indexed [k-1][l-1]."""
+        n = self.grid.order
+        return [[SmallSet(w, self.grid.side)
+                 for w in self.blocks[k * n:(k + 1) * n]] for k in range(n)]
 
 
 @dataclass
@@ -74,7 +92,7 @@ class SolveReport:
 
 
 def init_state(g: Grid) -> SolverState:
-    """Build the missing-value sets and blank list for a grid.
+    """Build the missing-value words and blank list for a grid.
 
     Raises ConflictError naming the first unit that repeats a value.
     """
@@ -84,64 +102,60 @@ def init_state(g: Grid) -> SolverState:
         raise ConflictError(f"{kind} {index} contains {value} more than once")
 
     m = g.side
-    n = g.order
-    row_missing = [SmallSet.full(m) for _ in range(m)]
-    col_missing = [SmallSet.full(m) for _ in range(m)]
-    block_missing = [[SmallSet.full(m) for _ in range(n)] for _ in range(n)]
+    full = (1 << m) - 1
+    state = SolverState(g.copy(), [full] * m, [full] * m, [full] * m, [])
     for r in range(m):
         for c in range(m):
             v = g.cells[r][c]
-            if v != 0:
-                k, l = r // n, c // n
-                row_missing[r] = row_missing[r].remove(v)
-                col_missing[c] = col_missing[c].remove(v)
-                block_missing[k][l] = block_missing[k][l].remove(v)
-    blanks = [(r + 1, c + 1)
-              for r in range(m) for c in range(m) if g.cells[r][c] == 0]
-    return SolverState(g.copy(), row_missing, col_missing, block_missing,
-                       blanks)
+            if v == 0:
+                state.blanks.append((r + 1, c + 1))
+            else:
+                _take(state, r + 1, c + 1, 1 << (v - 1))
+    return state
+
+
+def _block(state: SolverState, i: int, j: int) -> int:
+    n = state.grid.order
+    return (i - 1) // n * n + (j - 1) // n
+
+
+def _take(state: SolverState, i: int, j: int, bit: int) -> None:
+    """Drop a value from the three units of (i, j).
+
+    AND with the complement, never XOR: a toggle would put back a value
+    that is already absent.
+    """
+    state.rows[i - 1] &= ~bit
+    state.cols[j - 1] &= ~bit
+    state.blocks[_block(state, i, j)] &= ~bit
 
 
 def candidates(state: SolverState, i: int, j: int) -> SmallSet:
     """Values legally placeable at blank cell (i, j)."""
     if state.grid.value(i, j) != 0:
         raise ValueError(f"cell ({i}, {j}) is not blank")
-    k, l = block_of(i, j, state.grid.order)
-    return (state.row_missing[i - 1]
-            .intersect(state.col_missing[j - 1])
-            .intersect(state.block_missing[k - 1][l - 1]))
+    return SmallSet(_candidate_bits(state, i, j), state.grid.side)
 
 
 def _candidate_bits(state: SolverState, i: int, j: int) -> int:
-    n = state.grid.order
-    k = (i - 1) // n
-    l = (j - 1) // n
-    return (state.row_missing[i - 1].bits
-            & state.col_missing[j - 1].bits
-            & state.block_missing[k][l].bits)
+    return (state.rows[i - 1] & state.cols[j - 1]
+            & state.blocks[_block(state, i, j)])
 
 
-def _apply(state: SolverState, i: int, j: int, d: int) -> _JournalEntry:
-    n = state.grid.order
-    k = (i - 1) // n
-    l = (j - 1) // n
-    state.grid.cells[i - 1][j - 1] = d
-    state.row_missing[i - 1] = state.row_missing[i - 1].remove(d)
-    state.col_missing[j - 1] = state.col_missing[j - 1].remove(d)
-    state.block_missing[k][l] = state.block_missing[k][l].remove(d)
+def _apply(state: SolverState, i: int, j: int, bit: int) -> _JournalEntry:
+    """Place the value whose word bit is `bit` at blank cell (i, j)."""
+    state.grid.cells[i - 1][j - 1] = bit.bit_length()
+    _take(state, i, j, bit)
     state.blanks.remove((i, j))
-    return (i, j, d)
+    return (i, j, bit)
 
 
 def _undo(state: SolverState, entries: list[_JournalEntry]) -> None:
-    for i, j, d in reversed(entries):
-        n = state.grid.order
-        k = (i - 1) // n
-        l = (j - 1) // n
+    for i, j, bit in reversed(entries):
         state.grid.cells[i - 1][j - 1] = 0
-        state.row_missing[i - 1] = state.row_missing[i - 1].insert(d)
-        state.col_missing[j - 1] = state.col_missing[j - 1].insert(d)
-        state.block_missing[k][l] = state.block_missing[k][l].insert(d)
+        state.rows[i - 1] |= bit
+        state.cols[j - 1] |= bit
+        state.blocks[_block(state, i, j)] |= bit
         bisect.insort(state.blanks, (i, j))
 
 
@@ -149,7 +163,7 @@ def assign(state: SolverState, i: int, j: int, d: int) -> SolverState:
     """Place d at blank cell (i, j), updating the sets and blank list."""
     if not candidates(state, i, j).contains(d):
         raise ValueError(f"{d} is not a candidate at ({i}, {j})")
-    _apply(state, i, j, d)
+    _apply(state, i, j, 1 << (d - 1))
     return state
 
 
@@ -165,7 +179,7 @@ def _propagate(state: SolverState,
             if p == 0:
                 return Event.E1_CONTRADICTION, passes
             if p & (p - 1) == 0:
-                journal.append(_apply(state, i, j, p.bit_length()))
+                journal.append(_apply(state, i, j, p))
                 assigned = True
         passes += 1
         if not state.blanks:
@@ -192,7 +206,7 @@ def _branch_cell(state: SolverState, policy: str) -> tuple[int, int]:
     if policy == FIRST_BLANK:
         return state.blanks[0]
     best = state.blanks[0]
-    best_size = SmallSet.full(state.grid.side).cardinality() + 1
+    best_size = state.grid.side + 1
     for i, j in state.blanks:
         size = _candidate_bits(state, i, j).bit_count()
         if size < best_size:
@@ -245,14 +259,16 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
             stop = limit is not None and count >= limit
         elif event is Event.E3_EXHAUSTED_BY_SEARCH:
             i, j = _branch_cell(state, branch)
-            values = list(candidates(state, i, j).elements())
-            for idx, d in enumerate(values):
+            untried = _candidate_bits(state, i, j)
+            while untried:
+                bit = untried & -untried   # lowest value first
+                untried ^= bit
                 trials += 1
-                entry = _apply(state, i, j, d)
+                entry = _apply(state, i, j, bit)
                 stop = search(depth + 1)
                 _undo(state, [entry])
                 if stop:
-                    if idx + 1 < len(values):
+                    if untried:
                         skipped_branches = True
                     break
         _undo(state, journal)

@@ -135,6 +135,20 @@ def test_conflicting_clues_count_as_unsolvable(puzzle_file, capsys):
     assert "conflicting" in captured.err
 
 
+@pytest.mark.parametrize("command,verdict", [
+    ("solve", "UNSOLVABLE\n"),
+    ("count", ""),
+])
+def test_conflicting_clues_report_zero_stats(command, verdict, puzzle_file,
+                                             capsys):
+    twice = "2\n1 0 1 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
+    code = main([command, "--stats", puzzle_file(twice)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == verdict + "solutions=0 trials=0 passes=0\n"
+    assert "conflicting" in captured.err
+
+
 def test_sieve_lists_primes(capsys):
     code = main(["sieve", "10"])
     assert capsys.readouterr().out == "2\n3\n5\n7\n"

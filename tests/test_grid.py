@@ -183,6 +183,10 @@ def test_parse_reports_line_and_column():
     "1\n1\n",                            # order too small
     "6\n" + ("0 " * 36 + "\n") * 36,     # order too large
     "12345",                             # classic with wrong cell count
+    "2\n+1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n",    # signed value
+    "2\n١ 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n",  # Arabic-Indic digit one
+    "4\n1_0" + " 0" * 15 + "\n" + ("0 " * 16 + "\n") * 15,  # underscore
+    "+2\n" + "0 0 0 0\n" * 4,            # signed order header
 ])
 def test_parse_rejects_malformed_documents(text):
     with pytest.raises(PuzzleFormatError):
