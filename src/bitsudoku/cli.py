@@ -40,7 +40,7 @@ def run(args: argparse.Namespace) -> int:
 
     try:
         g = parse(_read_text(args.input))
-    except (PuzzleFormatError, OSError) as exc:
+    except (PuzzleFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "classic" and g.order != 3:

@@ -7,13 +7,22 @@ singleton is assigned on the spot, and a sweep that assigns nothing leaves
 the rest to trial and error.  Each trial speculatively assigns one
 candidate at the branching cell and recurses; trials are counted, every
 solution is counted, and enumeration is exhaustive unless a limit is set.
+
+The state is flat.  Cell (i, j) of an m×m board is index k = (i-1)·m + j-1
+of one cell list, and the 3m unit words (rows, then columns, then blocks)
+share one list; a per-order table, built once and never mutated, maps k to
+the indices of its three words.  The blank cells form one ascending list
+of flat indices, which each sweep rebuilds from the cells it leaves
+blank.  Every placement is journalled by its flat index alone (the value
+is still in the cell), and undo ORs the bits back and merges the cells
+into the open list with one sort.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .grid import Grid, first_conflict
 from .smallset import SmallSet
@@ -40,41 +49,64 @@ class Event(Enum):
 FEWEST_CANDIDATES = "fewest-candidates"
 FIRST_BLANK = "first-blank"
 
-# (i, j, word bit of the placed value)
-_JournalEntry = tuple[int, int, int]
+
+@cache
+def _unit_table(order: int) -> tuple[tuple[int, int, int], ...]:
+    """For each flat cell index, the indices of its row, column, and block
+    words: (r, m + c, 2m + block).  A tuple, so solves share no mutable
+    state."""
+    m = order * order
+    return tuple((r, m + c, 2 * m + r // order * order + c // order)
+                 for r in range(m) for c in range(m))
 
 
 @dataclass
 class SolverState:
-    """A grid plus the missing-value words and the list of blank cells.
+    """A board as flat cells plus the missing-value words and open cells.
 
-    rows[i-1], cols[j-1], and blocks[(k-1)*n + l-1] are int words holding
-    the values absent from row i, column j, and block (k, l), value d at
-    bit d-1; blanks is row-major sorted.  All are kept in lockstep with the
-    grid.  row_missing, col_missing, and block_missing view the words as
-    SmallSets.
+    cells[(i-1)*m + j-1] is the value at (i, j), 0 for a blank.  words
+    holds the values absent from each unit, value d at bit d-1: row i at
+    i-1, column j at m + j-1, block (k, l) at 2m + (k-1)*n + l-1.  open is
+    the ascending list of blank flat indices.  All are kept in lockstep;
+    grid, blanks, and the *_missing SmallSet views are derived from them.
     """
 
-    grid: Grid
-    rows: list[int]
-    cols: list[int]
-    blocks: list[int]
-    blanks: list[tuple[int, int]]
+    order: int
+    cells: list[int]
+    words: list[int]
+    open: list[int]
+
+    @property
+    def grid(self) -> Grid:
+        """A copy of the board as a Grid."""
+        m = self.order * self.order
+        return Grid(self.order,
+                    [self.cells[r * m:(r + 1) * m] for r in range(m)])
+
+    @property
+    def blanks(self) -> list[tuple[int, int]]:
+        """Blank cells as 1-based (i, j), row-major."""
+        m = self.order * self.order
+        return [(k // m + 1, k % m + 1) for k in self.open]
 
     @property
     def row_missing(self) -> list[SmallSet]:
-        return [SmallSet(w, self.grid.side) for w in self.rows]
+        m = self.order * self.order
+        return [SmallSet(w, m) for w in self.words[:m]]
 
     @property
     def col_missing(self) -> list[SmallSet]:
-        return [SmallSet(w, self.grid.side) for w in self.cols]
+        m = self.order * self.order
+        return [SmallSet(w, m) for w in self.words[m:2 * m]]
 
     @property
     def block_missing(self) -> list[list[SmallSet]]:
         """Indexed [k-1][l-1]."""
-        n = self.grid.order
-        return [[SmallSet(w, self.grid.side)
-                 for w in self.blocks[k * n:(k + 1) * n]] for k in range(n)]
+        n = self.order
+        m = n * n
+        return [[SmallSet(w, m)
+                 for w in self.words[2 * m + k * n:2 * m + (k + 1) * n]]
+                for k in range(n)]
 
 
 @dataclass
@@ -92,100 +124,119 @@ class SolveReport:
 
 
 def init_state(g: Grid) -> SolverState:
-    """Build the missing-value words and blank list for a grid.
+    """Build the missing-value words and open list for a grid.
 
     Raises ConflictError naming the first unit that repeats a value.
     """
-    conflict = first_conflict(g)
-    if conflict is not None:
-        kind, index, value = conflict
-        raise ConflictError(f"{kind} {index} contains {value} more than once")
-
     m = g.side
-    full = (1 << m) - 1
-    state = SolverState(g.copy(), [full] * m, [full] * m, [full] * m, [])
-    for r in range(m):
-        for c in range(m):
-            v = g.cells[r][c]
-            if v == 0:
-                state.blanks.append((r + 1, c + 1))
-            else:
-                _take(state, r + 1, c + 1, 1 << (v - 1))
-    return state
+    units = _unit_table(g.order)
+    cells = [v for row in g.cells for v in row]
+    words = [(1 << m) - 1] * (3 * m)
+    blank = []
+    for k, v in enumerate(cells):
+        if v == 0:
+            blank.append(k)
+            continue
+        bit = 1 << (v - 1)
+        a, b, c = units[k]
+        if not words[a] & words[b] & words[c] & bit:
+            kind, index, value = first_conflict(g)
+            raise ConflictError(
+                f"{kind} {index} contains {value} more than once")
+        # AND with the complement, never XOR: a toggle would put back a
+        # value that is already absent.
+        words[a] &= ~bit
+        words[b] &= ~bit
+        words[c] &= ~bit
+    return SolverState(g.order, cells, words, blank)
 
 
-def _block(state: SolverState, i: int, j: int) -> int:
-    n = state.grid.order
-    return (i - 1) // n * n + (j - 1) // n
-
-
-def _take(state: SolverState, i: int, j: int, bit: int) -> None:
-    """Drop a value from the three units of (i, j).
-
-    AND with the complement, never XOR: a toggle would put back a value
-    that is already absent.
-    """
-    state.rows[i - 1] &= ~bit
-    state.cols[j - 1] &= ~bit
-    state.blocks[_block(state, i, j)] &= ~bit
+def _flat_index(state: SolverState, i: int, j: int) -> int:
+    m = state.order * state.order
+    if not (1 <= i <= m and 1 <= j <= m):
+        raise IndexError(f"cell ({i}, {j}) outside 1..{m}")
+    return (i - 1) * m + j - 1
 
 
 def candidates(state: SolverState, i: int, j: int) -> SmallSet:
     """Values legally placeable at blank cell (i, j)."""
-    if state.grid.value(i, j) != 0:
+    k = _flat_index(state, i, j)
+    if state.cells[k] != 0:
         raise ValueError(f"cell ({i}, {j}) is not blank")
-    return SmallSet(_candidate_bits(state, i, j), state.grid.side)
-
-
-def _candidate_bits(state: SolverState, i: int, j: int) -> int:
-    return (state.rows[i - 1] & state.cols[j - 1]
-            & state.blocks[_block(state, i, j)])
-
-
-def _apply(state: SolverState, i: int, j: int, bit: int) -> _JournalEntry:
-    """Place the value whose word bit is `bit` at blank cell (i, j)."""
-    state.grid.cells[i - 1][j - 1] = bit.bit_length()
-    _take(state, i, j, bit)
-    state.blanks.remove((i, j))
-    return (i, j, bit)
-
-
-def _undo(state: SolverState, entries: list[_JournalEntry]) -> None:
-    for i, j, bit in reversed(entries):
-        state.grid.cells[i - 1][j - 1] = 0
-        state.rows[i - 1] |= bit
-        state.cols[j - 1] |= bit
-        state.blocks[_block(state, i, j)] |= bit
-        bisect.insort(state.blanks, (i, j))
+    a, b, c = _unit_table(state.order)[k]
+    w = state.words
+    return SmallSet(w[a] & w[b] & w[c], state.order * state.order)
 
 
 def assign(state: SolverState, i: int, j: int, d: int) -> SolverState:
-    """Place d at blank cell (i, j), updating the sets and blank list."""
+    """Place d at blank cell (i, j), updating the words and open list."""
     if not candidates(state, i, j).contains(d):
         raise ValueError(f"{d} is not a candidate at ({i}, {j})")
-    _apply(state, i, j, 1 << (d - 1))
+    k = _flat_index(state, i, j)
+    a, b, c = _unit_table(state.order)[k]
+    bit = 1 << (d - 1)
+    state.cells[k] = d
+    state.words[a] &= ~bit
+    state.words[b] &= ~bit
+    state.words[c] &= ~bit
+    state.open.remove(k)
     return state
 
 
-def _propagate(state: SolverState,
-               journal: list[_JournalEntry]) -> tuple[Event, int]:
-    if not state.blanks:
+def _propagate(state: SolverState, journal: list[int]) -> tuple[Event, int]:
+    """Sweep the open cells to a fixpoint, journalling each placement."""
+    open_ = state.open
+    if not open_:
         return Event.E2_SOLVED, 0
+    cells = state.cells
+    words = state.words
+    units = _unit_table(state.order)
     passes = 0
     while True:
-        assigned = False
-        for i, j in list(state.blanks):
-            p = _candidate_bits(state, i, j)
-            if p == 0:
+        placed_before = len(journal)
+        survivors: list[int] = []
+        for k in open_:
+            a, b, c = units[k]
+            p = words[a] & words[b] & words[c]
+            if p & (p - 1):             # two or more candidates
+                survivors.append(k)
+            elif p:                     # a single candidate: place it
+                cells[k] = p.bit_length()
+                words[a] &= ~p
+                words[b] &= ~p
+                words[c] &= ~p
+                journal.append(k)
+            else:
+                # Every cell before k either survived or was placed.
+                seen = len(survivors) + len(journal) - placed_before
+                state.open = survivors + open_[seen:]
                 return Event.E1_CONTRADICTION, passes
-            if p & (p - 1) == 0:
-                journal.append(_apply(state, i, j, p))
-                assigned = True
         passes += 1
-        if not state.blanks:
+        state.open = open_ = survivors
+        if not open_:
             return Event.E2_SOLVED, passes
-        if not assigned:
+        if len(journal) == placed_before:
             return Event.E3_EXHAUSTED_BY_SEARCH, passes
+
+
+def _undo(state: SolverState, journal: list[int], mark: int) -> None:
+    """Blank every cell journalled from `mark` on and reopen it."""
+    undone = journal[mark:]
+    if not undone:
+        return
+    del journal[mark:]
+    cells = state.cells
+    words = state.words
+    units = _unit_table(state.order)
+    for k in undone:
+        bit = 1 << (cells[k] - 1)
+        a, b, c = units[k]
+        words[a] |= bit
+        words[b] |= bit
+        words[c] |= bit
+        cells[k] = 0
+    state.open.extend(undone)
+    state.open.sort()   # merges the ascending runs
 
 
 def propagate(state: SolverState) -> tuple[SolverState, Event, int]:
@@ -197,20 +248,23 @@ def propagate(state: SolverState) -> tuple[SolverState, Event, int]:
     a completed sweep that assigned nothing.  The pass count is the number
     of completed sweeps (0 when the grid arrives complete).
     """
-    journal: list[_JournalEntry] = []
-    event, passes = _propagate(state, journal)
+    event, passes = _propagate(state, [])
     return state, event, passes
 
 
-def _branch_cell(state: SolverState, policy: str) -> tuple[int, int]:
+def _branch_cell(state: SolverState, policy: str) -> int:
+    open_ = state.open
     if policy == FIRST_BLANK:
-        return state.blanks[0]
-    best = state.blanks[0]
-    best_size = state.grid.side + 1
-    for i, j in state.blanks:
-        size = _candidate_bits(state, i, j).bit_count()
+        return open_[0]
+    words = state.words
+    units = _unit_table(state.order)
+    best = open_[0]
+    best_size = state.order * state.order + 1
+    for k in open_:
+        a, b, c = units[k]
+        size = (words[a] & words[b] & words[c]).bit_count()
         if size < best_size:
-            best, best_size = (i, j), size
+            best, best_size = k, size
             if size == 2:
                 break
     return best
@@ -237,6 +291,10 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
         raise ValueError(f"unknown branch policy {branch!r}")
 
     state = init_state(g)
+    cells = state.cells
+    words = state.words
+    units = _unit_table(state.order)
+    journal: list[int] = []
     solutions: list[Grid] = []
     count = 0
     trials = 0
@@ -246,7 +304,7 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
 
     def search(depth: int) -> bool:
         nonlocal count, trials, passes_total, skipped_branches, root_event
-        journal: list[_JournalEntry] = []
+        mark = len(journal)
         event, passes = _propagate(state, journal)
         passes_total += passes
         if depth == 0:
@@ -255,23 +313,34 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
         if event is Event.E2_SOLVED:
             count += 1
             if len(solutions) < cap:
-                solutions.append(state.grid.copy())
+                solutions.append(state.grid)
             stop = limit is not None and count >= limit
         elif event is Event.E3_EXHAUSTED_BY_SEARCH:
-            i, j = _branch_cell(state, branch)
-            untried = _candidate_bits(state, i, j)
+            k = _branch_cell(state, branch)
+            a, b, c = units[k]
+            untried = words[a] & words[b] & words[c]
+            state.open.remove(k)
+            # The branch cell is undone with this frame's placements; by
+            # then its last trial's bit is back in its words, so that
+            # undo's OR changes nothing but the open list and the cell.
+            journal.append(k)
             while untried:
                 bit = untried & -untried   # lowest value first
                 untried ^= bit
                 trials += 1
-                entry = _apply(state, i, j, bit)
+                cells[k] = bit.bit_length()
+                words[a] &= ~bit
+                words[b] &= ~bit
+                words[c] &= ~bit
                 stop = search(depth + 1)
-                _undo(state, [entry])
+                words[a] |= bit
+                words[b] |= bit
+                words[c] |= bit
                 if stop:
                     if untried:
                         skipped_branches = True
                     break
-        _undo(state, journal)
+        _undo(state, journal, mark)
         return stop
 
     search(0)

@@ -105,6 +105,16 @@ def test_missing_file_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe5300")
+    code = main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_reads_from_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(EMPTY_4))
     code = main(["count", "-"])

@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from bitsudoku import FEWEST_CANDIDATES, FIRST_BLANK, Event, Grid, solve
+from bitsudoku import (FEWEST_CANDIDATES, FIRST_BLANK, Event, Grid,
+                       is_sudoku_matrix, solve)
 from oracles import delete_cells, shuffled_valid_grid
 
 CAP = 3
@@ -105,3 +106,19 @@ def signature(order: int, seed: int, blanks: int, policy: str) -> tuple:
 def test_counters_match_golden_table(order, seed, blanks, policy):
     assert signature(order, seed, blanks, policy) == \
         GOLDEN[order, seed, blanks][policy]
+
+
+# The digests above were produced by the engine itself; at orders 4-5 no
+# brute-force count is feasible, so check each retained solution directly.
+@pytest.mark.parametrize("policy", [FC, FB])
+@pytest.mark.parametrize("order,seed,blanks",
+                         sorted(key for key in GOLDEN if key[0] >= 4))
+def test_large_solutions_are_valid_and_keep_clues(order, seed, blanks,
+                                                  policy):
+    puzzle = seeded_board(order, seed, blanks)
+    report = solve(puzzle, cap=CAP, limit=1, branch=policy)
+    assert report.solutions
+    for sol in report.solutions:
+        assert is_sudoku_matrix(sol)
+        for i, j, v in puzzle.clues():
+            assert sol.value(i, j) == v

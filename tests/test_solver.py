@@ -192,6 +192,75 @@ def test_propagate_assignments_were_forced():
                     st.grid.cells[r][c])
 
 
+def overwrite_clue(cells, order, rng):
+    """Give one clue a value that none of its three units holds, so the
+    board stays free of repeated clues but usually has no completion."""
+    m = order * order
+    r, c = rng.choice([(r, c) for r in range(m) for c in range(m)
+                       if cells[r][c]])
+    br, bc = r // order * order, c // order * order
+    seen = ({cells[r][x] for x in range(m)} | {cells[y][c] for y in range(m)}
+            | {cells[y][x] for y in range(br, br + order)
+               for x in range(bc, bc + order)})
+    free = [v for v in range(1, m + 1) if v not in seen]
+    if free:
+        cells[r][c] = rng.choice(free)
+    return cells
+
+
+def contradicts_after_placing(g):
+    """Whether propagation hits E1 in a sweep that already placed a cell,
+    replayed one cell at a time through candidates() and assign()."""
+    st = init_state(g)
+    while st.blanks:
+        placed = False
+        for i, j in st.blanks:
+            cand = candidates(st, i, j)
+            if cand.cardinality() == 0:
+                return placed
+            if cand.cardinality() == 1:
+                assign(st, i, j, min(cand))
+                placed = True
+        if not placed:
+            return False
+    return False
+
+
+def assert_matches_fresh_state(st):
+    fresh = init_state(st.grid)
+    assert st.blanks == fresh.blanks
+    assert st.row_missing == fresh.row_missing
+    assert st.col_missing == fresh.col_missing
+    assert st.block_missing == fresh.block_missing
+
+
+def test_propagation_keeps_state_consistent():
+    # After propagate (whatever its event) and after assign, the blank list
+    # and the unit sets must be those rebuilt from the grid alone.  Half
+    # the boards have an overwritten clue; many of those stop with E1 in a
+    # sweep that had already placed cells, which the count below checks.
+    late_contradictions = 0
+    for order, blanks, boards in ((2, (4, 12), 200), (3, (25, 55), 200),
+                                  (4, (60, 160), 30)):
+        rng = random.Random(order)
+        for _ in range(boards):
+            cells = delete_cells(shuffled_valid_grid(order, rng),
+                                 rng.randint(*blanks), rng)
+            if rng.random() < 0.5:
+                cells = overwrite_clue(cells, order, rng)
+            g = Grid(order, cells)
+            late_contradictions += contradicts_after_placing(g)
+            st, event, _ = propagate(init_state(g))
+            assert_matches_fresh_state(st)
+            if event is Event.E3_EXHAUSTED_BY_SEARCH:
+                i, j = st.blanks[-1]
+                assign(st, i, j, max(candidates(st, i, j)))
+                assert_matches_fresh_state(st)
+                st, _, _ = propagate(st)
+                assert_matches_fresh_state(st)
+    assert late_contradictions >= 50
+
+
 # -- solve --------------------------------------------------------------------
 
 def test_solve_complete_grid():
