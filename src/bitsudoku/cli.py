@@ -1,8 +1,8 @@
 """Command-line front end: solve, count, check, and sieve subcommands.
 
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 for success
-with at least one solution (or a valid grid, or a finished sieve), 1 for
-zero solutions or an invalid grid, 2 for parse or usage errors.
+Results go to stdout, diagnostics to stderr.  Exit codes: 0 for a solution,
+a valid grid or a finished sieve; 1 for none or an invalid grid; 2 for parse
+and usage errors, non-UTF-8 input, and a sieve bound too large to allocate.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from .solver import ConflictError, Event, SolveReport, solve
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        # Undo the surrogateescape of stdin, then decode strictly as a file.
+        return sys.stdin.read().encode("utf-8", "surrogateescape").decode()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
@@ -34,7 +35,13 @@ def _stats_line(report: SolveReport) -> str:
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line and return the process exit code."""
     if args.subcommand == "sieve":
-        for p in primes_up_to(args.bound):
+        try:
+            primes = primes_up_to(args.bound)
+        except (OverflowError, MemoryError):
+            print(f"error: N={args.bound} is too large to sieve",
+                  file=sys.stderr)
+            return 2
+        for p in primes:
             print(p)
         return 0
 

@@ -9,6 +9,7 @@ array is ordinary 0-based storage.  Cell (i, j) lies in block (k, l) with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 MIN_ORDER = 2
@@ -103,31 +104,25 @@ class Grid:
                 if self.cells[r][c] == 0:
                     yield r + 1, c + 1
 
-    def _units(self) -> Iterator[tuple[str, int, list[int]]]:
-        """All rows, columns, and blocks with a human-readable label."""
-        m = self.side
-        n = self.order
-        for r in range(m):
-            yield "row", r + 1, self.cells[r]
-        for c in range(m):
-            yield "column", c + 1, [self.cells[r][c] for r in range(m)]
-        for bk in range(n):
-            for bl in range(n):
-                block = [self.cells[r][c]
-                         for r in range(bk * n, (bk + 1) * n)
-                         for c in range(bl * n, (bl + 1) * n)]
-                yield "block", bk * n + bl + 1, block
+
+@cache
+def unit_table(order: int) -> tuple[tuple[int, int, int], ...]:
+    """Per flat cell index k = r·m + c, its row, column, and block unit
+    indices (r, m + c, 2m + block); a tuple, so callers share no state."""
+    m = order * order
+    return tuple((r, m + c, 2 * m + r // order * order + c // order)
+                 for r in range(m) for c in range(m))
 
 
 def is_sudoku_matrix(g: Grid) -> bool:
     """Whether every row, column, and block is a permutation of {1..side}.
 
-    The grid must be complete; blanks raise IncompleteGridError.
+    The grid must be complete; blanks raise IncompleteGridError.  On a
+    complete board a unit without a repeated value is a permutation.
     """
     for i, j in g.blank_positions():
         raise IncompleteGridError(f"blank cell at ({i}, {j})")
-    want = list(range(1, g.side + 1))
-    return all(sorted(unit) == want for _, _, unit in g._units())
+    return first_conflict(g) is None
 
 
 def is_consistent_partial(g: Grid) -> bool:
@@ -136,14 +131,25 @@ def is_consistent_partial(g: Grid) -> bool:
 
 
 def first_conflict(g: Grid) -> tuple[str, int, int] | None:
-    """The first (unit kind, unit index, duplicated value), or None."""
-    for kind, index, unit in g._units():
-        seen = set()
-        for v in unit:
-            if v != 0:
-                if v in seen:
-                    return kind, index, v
-                seen.add(v)
+    """The first (unit kind, unit index, duplicated value), or None.
+
+    Units rank rows, then columns, then blocks; each reports the first value
+    it sees twice in one row-major pass that keeps a word per unit.
+    """
+    m = g.side
+    seen = [0] * (3 * m)
+    repeat = [0] * (3 * m)      # per unit, the first value seen twice
+    cells = (v for row in g.cells for v in row)
+    for v, units in zip(cells, unit_table(g.order)):
+        if v:
+            bit = 1 << (v - 1)
+            for u in units:
+                if seen[u] & bit:
+                    repeat[u] = repeat[u] or v
+                seen[u] |= bit
+    for u, v in enumerate(repeat):
+        if v:
+            return ("row", "column", "block")[u // m], u % m + 1, v
     return None
 
 
@@ -162,24 +168,23 @@ def parse(text: str) -> Grid:
     ignored.  A document whose first significant line is a lone integer of
     at most two digits is treated as generic; anything else as classic.
     """
-    significant = []
+    significant = []    # (line number, raw line); no blanks or comments
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
-            significant.append((lineno, stripped))
-
+            significant.append((lineno, raw))
     if not significant:
         raise PuzzleFormatError("empty puzzle document")
 
-    header = significant[0][1]
+    header = significant[0][1].strip()
     if header.isascii() and header.isdigit() and len(header) <= 2:
         return _parse_generic(significant)
-    return _parse_classic(text)
+    return _parse_classic(significant)
 
 
 def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
     lineno, header = significant[0]
-    order = int(header)
+    order = int(header.strip())
     if not MIN_ORDER <= order <= MAX_ORDER:
         raise PuzzleFormatError(
             f"order {order} outside [{MIN_ORDER}, {MAX_ORDER}]", lineno)
@@ -213,12 +218,9 @@ def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
     return Grid(order, cells)
 
 
-def _parse_classic(text: str) -> Grid:
+def _parse_classic(significant: list[tuple[int, str]]) -> Grid:
     values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, raw in significant:
         for col, ch in enumerate(raw, start=1):
             if ch.isspace():
                 continue

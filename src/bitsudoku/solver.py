@@ -10,21 +10,21 @@ solution is counted, and enumeration is exhaustive unless a limit is set.
 
 The state is flat.  Cell (i, j) of an m×m board is index k = (i-1)·m + j-1
 of one cell list, and the 3m unit words (rows, then columns, then blocks)
-share one list; a per-order table, built once and never mutated, maps k to
-the indices of its three words.  The blank cells form one ascending list
-of flat indices, which each sweep rebuilds from the cells it leaves
-blank.  Every placement is journalled by its flat index alone (the value
-is still in the cell), and undo ORs the bits back and merges the cells
-into the open list with one sort.
+share one list.  The board geometry comes from grid.unit_table, a
+per-order tuple, built once and never mutated, that maps k to the indices
+of its three words.  The blank cells form one ascending list of flat
+indices, which each sweep rebuilds from the cells it leaves blank.  Every
+placement is journalled by its flat index alone (the value is still in the
+cell), and undo ORs the bits back and merges the cells into the open list
+with one sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 
-from .grid import Grid, first_conflict
+from .grid import Grid, first_conflict, unit_table
 from .smallset import SmallSet
 
 
@@ -48,16 +48,6 @@ class Event(Enum):
 # Branching-cell policies for the trial phase.
 FEWEST_CANDIDATES = "fewest-candidates"
 FIRST_BLANK = "first-blank"
-
-
-@cache
-def _unit_table(order: int) -> tuple[tuple[int, int, int], ...]:
-    """For each flat cell index, the indices of its row, column, and block
-    words: (r, m + c, 2m + block).  A tuple, so solves share no mutable
-    state."""
-    m = order * order
-    return tuple((r, m + c, 2 * m + r // order * order + c // order)
-                 for r in range(m) for c in range(m))
 
 
 @dataclass
@@ -129,7 +119,7 @@ def init_state(g: Grid) -> SolverState:
     Raises ConflictError naming the first unit that repeats a value.
     """
     m = g.side
-    units = _unit_table(g.order)
+    units = unit_table(g.order)
     cells = [v for row in g.cells for v in row]
     words = [(1 << m) - 1] * (3 * m)
     blank = []
@@ -163,7 +153,7 @@ def candidates(state: SolverState, i: int, j: int) -> SmallSet:
     k = _flat_index(state, i, j)
     if state.cells[k] != 0:
         raise ValueError(f"cell ({i}, {j}) is not blank")
-    a, b, c = _unit_table(state.order)[k]
+    a, b, c = unit_table(state.order)[k]
     w = state.words
     return SmallSet(w[a] & w[b] & w[c], state.order * state.order)
 
@@ -173,7 +163,7 @@ def assign(state: SolverState, i: int, j: int, d: int) -> SolverState:
     if not candidates(state, i, j).contains(d):
         raise ValueError(f"{d} is not a candidate at ({i}, {j})")
     k = _flat_index(state, i, j)
-    a, b, c = _unit_table(state.order)[k]
+    a, b, c = unit_table(state.order)[k]
     bit = 1 << (d - 1)
     state.cells[k] = d
     state.words[a] &= ~bit
@@ -190,7 +180,7 @@ def _propagate(state: SolverState, journal: list[int]) -> tuple[Event, int]:
         return Event.E2_SOLVED, 0
     cells = state.cells
     words = state.words
-    units = _unit_table(state.order)
+    units = unit_table(state.order)
     passes = 0
     while True:
         placed_before = len(journal)
@@ -227,7 +217,7 @@ def _undo(state: SolverState, journal: list[int], mark: int) -> None:
     del journal[mark:]
     cells = state.cells
     words = state.words
-    units = _unit_table(state.order)
+    units = unit_table(state.order)
     for k in undone:
         bit = 1 << (cells[k] - 1)
         a, b, c = units[k]
@@ -257,7 +247,7 @@ def _branch_cell(state: SolverState, policy: str) -> int:
     if policy == FIRST_BLANK:
         return open_[0]
     words = state.words
-    units = _unit_table(state.order)
+    units = unit_table(state.order)
     best = open_[0]
     best_size = state.order * state.order + 1
     for k in open_:
@@ -293,7 +283,7 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
     state = init_state(g)
     cells = state.cells
     words = state.words
-    units = _unit_table(state.order)
+    units = unit_table(state.order)
     journal: list[int] = []
     solutions: list[Grid] = []
     count = 0

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive and shares no code with the package
-under test: set algebra over explicit element lists, propagation-free
-backtracking over raw cell arrays, and trial-division primality.
+under test: set algebra over explicit element lists, unit scans over
+explicit value lists, propagation-free backtracking over raw cell arrays,
+and trial-division primality.
 """
 
 import random
@@ -93,6 +94,44 @@ def brute_force_solutions(order: int, cells: list[list[int]],
 def brute_force_count(order: int, cells: list[list[int]],
                       limit: int | None = None) -> int:
     return len(brute_force_solutions(order, cells, limit))
+
+
+# ---------------------------------------------------------------------------
+# Unit scan over explicit lists (reference for the validity checks)
+# ---------------------------------------------------------------------------
+
+def ref_units(order: int,
+              cells: list[list[int]]) -> list[tuple[str, int, list[int]]]:
+    """Every unit as (kind, 1-based index, values): rows top to bottom, then
+    columns left to right, then blocks row-major; each unit's values in
+    reading order (blocks row-major inside the block)."""
+    m = order * order
+    units = [("row", r + 1, [cells[r][c] for c in range(m)])
+             for r in range(m)]
+    units += [("column", c + 1, [cells[r][c] for r in range(m)])
+              for c in range(m)]
+    for bk in range(order):
+        for bl in range(order):
+            values = []
+            for r in range(bk * order, (bk + 1) * order):
+                for c in range(bl * order, (bl + 1) * order):
+                    values.append(cells[r][c])
+            units.append(("block", bk * order + bl + 1, values))
+    return units
+
+
+def ref_first_conflict(order: int,
+                       cells: list[list[int]]) -> tuple[str, int, int] | None:
+    """The first unit that repeats a nonzero value, with the first value it
+    meets a second time, as (kind, index, value); None if there is none."""
+    for kind, index, values in ref_units(order, cells):
+        seen: list[int] = []
+        for v in values:
+            if v != 0:
+                if v in seen:
+                    return kind, index, v
+                seen.append(v)
+    return None
 
 
 # ---------------------------------------------------------------------------

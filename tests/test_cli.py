@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,35 @@ def test_reads_from_stdin(monkeypatch, capsys):
     assert code == 0
 
 
+def test_undecodable_stdin_names_the_byte(monkeypatch, capsys):
+    # Python hands undecodable stdin bytes over as lone surrogates.
+    monkeypatch.setattr("sys.stdin", io.StringIO("\udcff\udcfe5300"))
+    code = main(["solve", "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "byte 0xff" in captured.err
+
+
+def test_stdin_rejects_the_bytes_a_file_rejects(tmp_path, capsys):
+    data = b"# caf\xe9\n" + EMPTY_4.encode()
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    assert main(["count", str(path)]) == 2
+    file_err = capsys.readouterr().err
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-m", "bitsudoku", "count", "-"],
+                          input=data, capture_output=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == file_err
+
+
 def test_classic_output_format(puzzle_file, capsys):
     code = main(["solve", "--format", "classic", puzzle_file(CLASSIC_81)])
     out = capsys.readouterr().out
@@ -169,6 +202,19 @@ def test_sieve_one_yields_nothing(capsys):
     code = main(["sieve", "1"])
     assert capsys.readouterr().out == ""
     assert code == 0
+
+
+# Neither bound allocates anything: 10**21 bits overflow the index type of
+# the word list, and 10**19 bits ask for about 1.25e18 bytes, more than a
+# 64-bit address space holds.
+@pytest.mark.parametrize("bound", ["1000000000000000000000",
+                                   "10000000000000000000"])
+def test_sieve_bound_too_large_to_allocate_exits_2(bound, capsys):
+    code = main(["sieve", bound])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: N={bound} is too large to sieve\n"
 
 
 @pytest.mark.parametrize("argv", [

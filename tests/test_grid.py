@@ -13,7 +13,10 @@ from bitsudoku.grid import (
     is_sudoku_matrix,
     parse,
     render,
+    unit_table,
 )
+from bitsudoku.solver import init_state
+from oracles import ref_first_conflict, ref_units, shuffled_valid_grid
 
 COMPLETE_4 = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 BAD_BLOCKS_4 = [[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]]
@@ -56,6 +59,26 @@ def test_blocks_partition_the_board(n):
     assert len(buckets) == m
     assert all(len(cells) == m for cells in buckets.values())
     assert sum(len(cells) for cells in buckets.values()) == m * m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_unit_table_matches_block_of_and_solver_layout(n):
+    m = n * n
+    table = unit_table(n)
+    assert len(table) == m * m
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            k, l = block_of(i, j, n)
+            assert table[(i - 1) * m + j - 1] == (
+                i - 1, m + j - 1, 2 * m + (k - 1) * n + l - 1)
+            # A lone clue leaves its value missing from every block but its
+            # own, read through the solver's block_missing[k-1][l-1] view.
+            cells = [[0] * m for _ in range(m)]
+            cells[i - 1][j - 1] = 1
+            missing = init_state(Grid(n, cells)).block_missing
+            assert [[1 not in s for s in row] for row in missing] == [
+                [(bk, bl) == (k, l) for bl in range(1, n + 1)]
+                for bk in range(1, n + 1)]
 
 
 # -- Grid basics -------------------------------------------------------------
@@ -127,6 +150,54 @@ def test_sudoku_matrix_implies_consistent():
     assert is_consistent_partial(Grid(2, COMPLETE_4))
     assert not is_sudoku_matrix(Grid(2, BAD_BLOCKS_4))
     assert not is_consistent_partial(Grid(2, BAD_BLOCKS_4))
+
+
+def _unit_check_corpus():
+    """Seeded boards at orders 2-5: a third are valid grids with repeats
+    written over a few cells, a third the same with random blanks, and a
+    third random clues on a blank board."""
+    rng = random.Random(20120118)
+    for t in range(3000):
+        n = rng.choice([2, 3, 4, 5])
+        m = n * n
+        if t % 3 == 2:
+            cells = [[0] * m for _ in range(m)]
+            writes = rng.randrange(1, 2 * m)
+        else:
+            cells = shuffled_valid_grid(n, rng)
+            writes = rng.randrange(3)
+        for _ in range(writes):
+            cells[rng.randrange(m)][rng.randrange(m)] = rng.randrange(1, m + 1)
+        if t % 3 == 1:
+            for _ in range(rng.randrange(m * m)):
+                cells[rng.randrange(m)][rng.randrange(m)] = 0
+        yield n, cells
+
+
+def test_unit_checks_match_naive_unit_scan():
+    firsts = set()
+    verdicts = set()
+    for n, cells in _unit_check_corpus():
+        g = Grid(n, cells)
+        want = ref_first_conflict(n, cells)
+        assert first_conflict(g) == want
+        assert is_consistent_partial(g) == (want is None)
+        blanks = [(i + 1, j + 1) for i, row in enumerate(cells)
+                  for j, v in enumerate(row) if v == 0]
+        if blanks:
+            message = r"^blank cell at \(%d, %d\)$" % blanks[0]
+            with pytest.raises(IncompleteGridError, match=message):
+                is_sudoku_matrix(g)
+            verdict = "incomplete"
+        else:
+            perm = list(range(1, n * n + 1))
+            verdict = all(sorted(values) == perm
+                          for _, _, values in ref_units(n, cells))
+            assert is_sudoku_matrix(g) == verdict
+        firsts.add(want and want[0])
+        verdicts.add(verdict)
+    assert firsts == {None, "row", "column", "block"}
+    assert verdicts == {True, False, "incomplete"}
 
 
 # -- parsing -----------------------------------------------------------------
