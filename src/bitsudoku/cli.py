@@ -15,9 +15,18 @@ from .sieve import primes_up_to
 from .solver import ConflictError, Event, SolveReport, solve
 
 
+# Primes per stdout write: the output streams without one huge string.
+_SIEVE_CHUNK = 4096
+
+
 def _read_text(path: str) -> str:
     if path == "-":
-        # Undo the surrogateescape of stdin, then decode strictly as a file.
+        # Decode stdin's bytes strictly as UTF-8, as a file is, whatever
+        # its text encoding.  A stdin without bytes (a StringIO) has only
+        # text: undo its surrogateescape, then decode the same way.
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is not None:
+            return buffer.read().decode()
         return sys.stdin.read().encode("utf-8", "surrogateescape").decode()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -41,8 +50,9 @@ def run(args: argparse.Namespace) -> int:
             print(f"error: N={args.bound} is too large to sieve",
                   file=sys.stderr)
             return 2
-        for p in primes:
-            print(p)
+        for lo in range(0, len(primes), _SIEVE_CHUNK):
+            sys.stdout.write("".join(
+                f"{p}\n" for p in primes[lo:lo + _SIEVE_CHUNK]))
         return 0
 
     try:

@@ -1,7 +1,17 @@
-"""Prime generation by striking composites in a packed bit array."""
+"""Prime generation by striking composites in packed bits.
+
+`primes_up_to` keeps only the odd numbers, as the bits of one Python int:
+bit i stands for 2i + 1.  Each odd prime p strikes all of its odd
+multiples from p*p on with one OR of a periodic tile (bits 0, p, 2p, ...),
+built by doubling in O(log(n/p)) word-parallel operations.  The survivors
+are read back in fixed segments, each turned into a string of flag bytes
+that `itertools.compress` filters at C speed.  `BitArray` is a general
+packed bit array in machine words, with checked per-bit access.
+"""
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 
 from .smallset import WORD_WIDTH
@@ -42,16 +52,36 @@ class BitArray:
         return sum(w.bit_count() for w in self.words)
 
 
+# Bits read back per extraction step: keeps the temporary strings small.
+_SEGMENT_BITS = 1 << 15
+# Reversed binary digits to flags: an unstruck bit ('0') marks a prime.
+_PRIME_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
+
+
 def primes_up_to(n: int) -> list[int]:
     """All primes p <= n, ascending.  1 is not a prime and never appears."""
     if n < 2:
         return []
-    composite = BitArray(n + 1)
-    words = composite.words  # hot loops index the words directly
-    w = WORD_WIDTH
-    for p in range(2, isqrt(n) + 1):
-        if not (words[p // w] >> (p % w)) & 1:
-            for t in range(p * p, n + 1, p):
-                words[t // w] |= 1 << (t % w)
-    return [t for t in range(2, n + 1)
-            if not (words[t // w] >> (t % w)) & 1]
+    length = (n + 1) // 2  # the odd numbers 1, 3, ..., <= n
+    # The top bit (past the last number) gives `struck` its full width at
+    # once, so a bound too large to allocate fails here, before recursing.
+    struck = (1 << length) | 1
+    for p in primes_up_to(isqrt(n))[1:]:
+        start = p * p // 2
+        span = length - start
+        tile, width = 1, p
+        while width < span:
+            tile |= tile << width
+            width <<= 1
+        struck |= (tile & ((1 << span) - 1)) << start
+    data = struck.to_bytes(length // 8 + 1, "little")
+    primes = [2]
+    for lo in range(0, length, _SEGMENT_BITS):
+        chunk = data[lo // 8:(lo + _SEGMENT_BITS) // 8]
+        # A sentinel bit above the chunk fixes the digit count; [:0:-1]
+        # drops it and puts bit 0 first.  compress stops at the end of the
+        # chunk or at n, whichever comes first.
+        bits = int.from_bytes(chunk, "little") | 1 << 8 * len(chunk)
+        flags = format(bits, "b")[:0:-1].encode().translate(_PRIME_FLAGS)
+        primes.extend(compress(range(2 * lo + 1, n + 1, 2), flags))
+    return primes

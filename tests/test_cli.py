@@ -9,6 +9,8 @@ import pytest
 from bitsudoku.cli import main
 from bitsudoku.grid import is_sudoku_matrix, parse
 
+from oracles import primes_by_trial_division
+
 EMPTY_4 = "2\n" + "0 0 0 0\n" * 4
 COMPLETE_4 = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
 WITNESS_4 = "2\n0 2 3 4\n1 0 0 0\n0 0 0 0\n0 0 0 0\n"
@@ -155,6 +157,18 @@ def test_stdin_rejects_the_bytes_a_file_rejects(tmp_path, capsys):
     assert proc.stderr.decode() == file_err
 
 
+def test_stdin_is_decoded_as_utf8_whatever_its_text_encoding():
+    data = b"# caf\xe9\n" + EMPTY_4.encode()
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="latin-1")
+    proc = subprocess.run([sys.executable, "-m", "bitsudoku", "count", "-"],
+                          input=data, capture_output=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"byte 0xe9" in proc.stderr
+
+
 def test_classic_output_format(puzzle_file, capsys):
     code = main(["solve", "--format", "classic", puzzle_file(CLASSIC_81)])
     out = capsys.readouterr().out
@@ -196,6 +210,16 @@ def test_sieve_lists_primes(capsys):
     code = main(["sieve", "10"])
     assert capsys.readouterr().out == "2\n3\n5\n7\n"
     assert code == 0
+
+
+# pi(N) = 4095, 4096 and 4097: one line short of, exactly at and one line
+# past a full stdout chunk; 0, 1 and 2 print no line or one.
+@pytest.mark.parametrize("bound", [0, 1, 2, 38872, 38873, 38891])
+def test_sieve_output_matches_trial_division(bound, capsys):
+    code = main(["sieve", str(bound)])
+    assert code == 0
+    assert capsys.readouterr().out == "".join(
+        f"{p}\n" for p in primes_by_trial_division(bound))
 
 
 def test_sieve_one_yields_nothing(capsys):

@@ -1,5 +1,8 @@
+from bisect import bisect_right
+
 import pytest
 
+from bitsudoku import sieve
 from bitsudoku.sieve import BitArray, primes_up_to
 
 from oracles import is_prime_by_trial_division, primes_by_trial_division
@@ -32,6 +35,52 @@ def test_output_is_strictly_increasing_and_above_one():
     assert all(a < b for a, b in zip(ps, ps[1:]))
     assert all(p > 1 for p in ps)
     assert all(is_prime_by_trial_division(p) for p in ps[:100])
+
+
+# One trial-division list, read by prefix: it covers the segment edges below.
+REFERENCE = primes_by_trial_division(140_000)
+
+
+def _reference_up_to(n):
+    return REFERENCE[:bisect_right(REFERENCE, n)]
+
+
+def test_matches_trial_division_for_every_small_bound():
+    for n in range(0, 2001):
+        assert primes_up_to(n) == _reference_up_to(n), n
+
+
+def test_matches_trial_division_around_prime_squares():
+    # p*p is the first multiple an odd prime strikes, at bit p*p // 2.
+    for p in _reference_up_to(300):
+        for n in (p * p - 1, p * p, p * p + 1):
+            assert primes_up_to(n) == _reference_up_to(n), n
+
+
+@pytest.mark.parametrize("n", [*range(65533, 65539), *range(131069, 131075)])
+def test_matches_trial_division_at_segment_edges(n):
+    # Odd-number bits 2**15 and 2**16 (65537, 131073) start new segments.
+    assert primes_up_to(n) == _reference_up_to(n)
+
+
+def test_one_million():
+    ps = primes_up_to(10**6)
+    assert len(ps) == 78498
+    assert ps[0] == 2 and ps[-1] == 999983
+
+
+# Each bound is too large to allocate: it must fail at once, before the
+# sieve of its square root (about 3e9, which fits and runs for hours) is
+# started.  The recursive call reads the module's name, so the stand-in
+# turns a late allocation into an immediate failure.
+@pytest.mark.parametrize("n", [10**19, 10**21])
+def test_bound_too_large_to_allocate_raises(n, monkeypatch):
+    def no_recursion(m):
+        raise AssertionError(f"sieved {m} before allocating")
+
+    monkeypatch.setattr(sieve, "primes_up_to", no_recursion)
+    with pytest.raises((MemoryError, OverflowError)):
+        primes_up_to(n)
 
 
 # -- BitArray ------------------------------------------------------------------
