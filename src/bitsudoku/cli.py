@@ -2,12 +2,15 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 for a solution,
 a valid grid or a finished sieve; 1 for none or an invalid grid; 2 for parse
-and usage errors, non-UTF-8 input, and a sieve bound too large to allocate.
+and usage errors, non-UTF-8 input, and a sieve bound too large to allocate;
+141 (128 + SIGPIPE) when the reader closes stdout early, as `sieve N | head`
+does.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .grid import PuzzleFormatError, is_sudoku_matrix, parse, render
@@ -139,4 +142,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--limit must be >= 1")
     if args.subcommand == "sieve" and args.bound < 0:
         parser.error("N must be >= 0")
-    return run(args)
+    try:
+        code = run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Keep the flush at interpreter exit from failing a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code

@@ -153,10 +153,6 @@ def first_conflict(g: Grid) -> tuple[str, int, int] | None:
     return None
 
 
-# A parsed puzzle is a Grid; the old name stays in the public API.
-PuzzleDocument = Grid
-
-
 def parse(text: str) -> Grid:
     """Parse puzzle text in either accepted format into a Grid.
 

@@ -13,10 +13,10 @@ of one cell list, and the 3m unit words (rows, then columns, then blocks)
 share one list.  The board geometry comes from grid.unit_table, a
 per-order tuple, built once and never mutated, that maps k to the indices
 of its three words.  The blank cells form one ascending list of flat
-indices, which each sweep rebuilds from the cells it leaves blank.  Every
-placement is journalled by its flat index alone (the value is still in the
-cell), and undo ORs the bits back and merges the cells into the open list
-with one sort.
+indices, which each sweep rebuilds from the cells it leaves blank.  A
+search frame snapshots its cells, words and open list (less its branch
+cell) and restores them by slice copy after each trial that does not end
+the search, so propagation must replace the open list, never mutate it.
 """
 
 from __future__ import annotations
@@ -173,17 +173,25 @@ def assign(state: SolverState, i: int, j: int, d: int) -> SolverState:
     return state
 
 
-def _propagate(state: SolverState, journal: list[int]) -> tuple[Event, int]:
-    """Sweep the open cells to a fixpoint, journalling each placement."""
+def propagate(state: SolverState) -> tuple[SolverState, Event, int]:
+    """Sweep the blanks to a fixpoint, assigning forced cells.
+
+    Each sweep walks the current blanks row-major; a cell whose candidate
+    set is empty ends the run immediately with E1, a singleton is assigned
+    and the sweep continues.  Returns E2 once no blanks remain, or E3 after
+    a completed sweep that assigned nothing.  The pass count is the number
+    of completed sweeps (0 when the grid arrives complete).
+    """
     open_ = state.open
     if not open_:
-        return Event.E2_SOLVED, 0
+        return state, Event.E2_SOLVED, 0
     cells = state.cells
     words = state.words
     units = unit_table(state.order)
     passes = 0
+    # state.open is replaced, never mutated: solve's trials share one list.
     while True:
-        placed_before = len(journal)
+        placed = 0
         survivors: list[int] = []
         for k in open_:
             a, b, c = units[k]
@@ -195,51 +203,17 @@ def _propagate(state: SolverState, journal: list[int]) -> tuple[Event, int]:
                 words[a] &= ~p
                 words[b] &= ~p
                 words[c] &= ~p
-                journal.append(k)
+                placed += 1
             else:
                 # Every cell before k either survived or was placed.
-                seen = len(survivors) + len(journal) - placed_before
-                state.open = survivors + open_[seen:]
-                return Event.E1_CONTRADICTION, passes
+                state.open = survivors + open_[len(survivors) + placed:]
+                return state, Event.E1_CONTRADICTION, passes
         passes += 1
         state.open = open_ = survivors
         if not open_:
-            return Event.E2_SOLVED, passes
-        if len(journal) == placed_before:
-            return Event.E3_EXHAUSTED_BY_SEARCH, passes
-
-
-def _undo(state: SolverState, journal: list[int], mark: int) -> None:
-    """Blank every cell journalled from `mark` on and reopen it."""
-    undone = journal[mark:]
-    if not undone:
-        return
-    del journal[mark:]
-    cells = state.cells
-    words = state.words
-    units = unit_table(state.order)
-    for k in undone:
-        bit = 1 << (cells[k] - 1)
-        a, b, c = units[k]
-        words[a] |= bit
-        words[b] |= bit
-        words[c] |= bit
-        cells[k] = 0
-    state.open.extend(undone)
-    state.open.sort()   # merges the ascending runs
-
-
-def propagate(state: SolverState) -> tuple[SolverState, Event, int]:
-    """Sweep the blanks to a fixpoint, assigning forced cells.
-
-    Each sweep walks the current blanks row-major; a cell whose candidate
-    set is empty ends the run immediately with E1, a singleton is assigned
-    and the sweep continues.  Returns E2 once no blanks remain, or E3 after
-    a completed sweep that assigned nothing.  The pass count is the number
-    of completed sweeps (0 when the grid arrives complete).
-    """
-    event, passes = _propagate(state, [])
-    return state, event, passes
+            return state, Event.E2_SOLVED, passes
+        if not placed:
+            return state, Event.E3_EXHAUSTED_BY_SEARCH, passes
 
 
 def _branch_cell(state: SolverState, policy: str) -> int:
@@ -284,56 +258,48 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
     cells = state.cells
     words = state.words
     units = unit_table(state.order)
-    journal: list[int] = []
     solutions: list[Grid] = []
     count = 0
     trials = 0
-    passes_total = 0
     skipped_branches = False
-    root_event = Event.E2_SOLVED
 
-    def search(depth: int) -> bool:
-        nonlocal count, trials, passes_total, skipped_branches, root_event
-        mark = len(journal)
-        event, passes = _propagate(state, journal)
-        passes_total += passes
-        if depth == 0:
-            root_event = event
-        stop = False
+    def search(event: Event) -> bool:
+        nonlocal count, trials, passes_total, skipped_branches
         if event is Event.E2_SOLVED:
             count += 1
             if len(solutions) < cap:
                 solutions.append(state.grid)
-            stop = limit is not None and count >= limit
-        elif event is Event.E3_EXHAUSTED_BY_SEARCH:
-            k = _branch_cell(state, branch)
-            a, b, c = units[k]
-            untried = words[a] & words[b] & words[c]
-            state.open.remove(k)
-            # The branch cell is undone with this frame's placements; by
-            # then its last trial's bit is back in its words, so that
-            # undo's OR changes nothing but the open list and the cell.
-            journal.append(k)
-            while untried:
-                bit = untried & -untried   # lowest value first
-                untried ^= bit
-                trials += 1
-                cells[k] = bit.bit_length()
-                words[a] &= ~bit
-                words[b] &= ~bit
-                words[c] &= ~bit
-                stop = search(depth + 1)
-                words[a] |= bit
-                words[b] |= bit
-                words[c] |= bit
-                if stop:
-                    if untried:
-                        skipped_branches = True
-                    break
-        _undo(state, journal, mark)
-        return stop
+            return limit is not None and count >= limit
+        if event is Event.E1_CONTRADICTION:
+            return False
+        k = _branch_cell(state, branch)
+        a, b, c = units[k]
+        untried = words[a] & words[b] & words[c]
+        saved_cells = cells[:]
+        saved_words = words[:]
+        rest = state.open.copy()
+        rest.remove(k)
+        while untried:
+            bit = untried & -untried   # lowest value first
+            untried ^= bit
+            trials += 1
+            state.open = rest
+            cells[k] = bit.bit_length()
+            words[a] &= ~bit
+            words[b] &= ~bit
+            words[c] &= ~bit
+            _, event, passes = propagate(state)
+            passes_total += passes
+            if search(event):
+                if untried:
+                    skipped_branches = True
+                return True
+            cells[:] = saved_cells
+            words[:] = saved_words
+        return False
 
-    search(0)
+    _, root_event, passes_total = propagate(state)
+    search(root_event)
     return SolveReport(
         solution_count=count,
         solutions=solutions,

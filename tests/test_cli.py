@@ -222,6 +222,19 @@ def test_sieve_output_matches_trial_division(bound, capsys):
         f"{p}\n" for p in primes_by_trial_division(bound))
 
 
+def test_sieve_into_a_closed_pipe_exits_141_quietly():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bitsudoku", "sieve", "1000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"2\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+
+
 def test_sieve_one_yields_nothing(capsys):
     code = main(["sieve", "1"])
     assert capsys.readouterr().out == ""

@@ -5,7 +5,6 @@ import pytest
 from bitsudoku.grid import (
     Grid,
     IncompleteGridError,
-    PuzzleDocument,
     PuzzleFormatError,
     block_of,
     first_conflict,
@@ -290,7 +289,7 @@ def test_render_round_trip_random_documents():
         m = order * order
         for _ in range(5):
             cells = [[rng.randint(0, m) for _ in range(m)] for _ in range(m)]
-            doc = PuzzleDocument(order, cells)
+            doc = Grid(order, cells)
             again = parse(render(doc))
             assert again == doc
 

@@ -18,6 +18,7 @@ from bitsudoku.solver import (
 
 from oracles import (
     brute_force_count,
+    brute_force_solutions,
     delete_cells,
     shuffled_valid_grid,
 )
@@ -234,6 +235,25 @@ def assert_matches_fresh_state(st):
     assert st.block_missing == fresh.block_missing
 
 
+def test_propagate_leaves_the_old_open_list_intact():
+    # solve's trials in one frame all start from the same open list, so
+    # propagate may replace state.open but never change the list it held.
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(200):
+        cells = delete_cells(shuffled_valid_grid(3, rng),
+                             rng.randint(25, 55), rng)
+        if rng.random() < 0.5:
+            cells = overwrite_clue(cells, 3, rng)
+        st = init_state(Grid(3, cells))
+        before = st.open
+        contents = before[:]
+        _, event, _ = propagate(st)
+        assert before == contents
+        seen.add(event)
+    assert seen == set(Event)
+
+
 def test_propagation_keeps_state_consistent():
     # After propagate (whatever its event) and after assign, the blank list
     # and the unit sets must be those rebuilt from the grid alone.  Half
@@ -339,6 +359,22 @@ def test_solution_count_matches_brute_force():
                               rng.randint(0, 16), rng)
         expected = brute_force_count(2, puzzle)
         assert solve(Grid(2, puzzle), cap=0).solution_count == expected
+
+
+def test_9x9_solutions_match_brute_force():
+    # 42-48 blanks keep the oracle near a second in all; with this seed 8
+    # of the 12 boards have more than one solution.
+    rng = random.Random(7)
+    multiple = 0
+    for _ in range(12):
+        puzzle = delete_cells(shuffled_valid_grid(3, rng),
+                              rng.randint(42, 48), rng)
+        expected = brute_force_solutions(3, puzzle)
+        report = solve(Grid(3, puzzle), cap=len(expected) + 1)
+        assert report.solution_count == len(expected)
+        assert sorted(s.cells for s in report.solutions) == sorted(expected)
+        multiple += len(expected) > 1
+    assert multiple == 8
 
 
 def test_branch_policies_agree_on_count():
