@@ -63,11 +63,6 @@ def run(args: argparse.Namespace) -> int:
     except (PuzzleFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "classic" and g.order != 3:
-        print("error: classic format requires an order-3 board",
-              file=sys.stderr)
-        return 2
-
     if args.subcommand == "check":
         if g.blank_count() > 0:
             print("error: check requires a complete grid (no blanks)",
@@ -78,6 +73,11 @@ def run(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     solving = args.subcommand == "solve"
+    # Only solve renders a board, so only solve needs its format to fit.
+    if solving and args.format == "classic" and g.order != 3:
+        print("error: classic format requires an order-3 board",
+              file=sys.stderr)
+        return 2
     try:
         report = solve(g, cap=max(1, args.cap) if solving else args.cap,
                        limit=1 if solving else args.limit)

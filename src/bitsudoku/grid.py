@@ -8,9 +8,8 @@ array is ordinary 0-based storage.  Cell (i, j) lies in block (k, l) with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cache
-from typing import Iterator
 
 MIN_ORDER = 2
 MAX_ORDER = 5
@@ -41,26 +40,38 @@ def block_of(i: int, j: int, n: int) -> tuple[int, int]:
     return (i - 1) // n + 1, (j - 1) // n + 1
 
 
-@dataclass
 class Grid:
-    """Cell storage for one board; `cells[r][c]` is 0-based raw access."""
+    """Cell storage for one board; `cells[r][c]` is 0-based raw access.
 
-    order: int
-    cells: list[list[int]]
+    Two grids are == when their order and cells are; grids are mutable and
+    unhashable.
+    """
 
-    def __post_init__(self) -> None:
-        if not MIN_ORDER <= self.order <= MAX_ORDER:
+    __hash__ = None
+
+    def __init__(self, order: int, cells: list[list[int]]) -> None:
+        if not MIN_ORDER <= order <= MAX_ORDER:
             raise ValueError(
-                f"order {self.order} outside [{MIN_ORDER}, {MAX_ORDER}]")
-        m = self.side
-        if len(self.cells) != m or any(len(row) != m for row in self.cells):
+                f"order {order} outside [{MIN_ORDER}, {MAX_ORDER}]")
+        m = order * order
+        if len(cells) != m or any(len(row) != m for row in cells):
             raise ValueError(f"cell array is not {m}x{m}")
-        for row in self.cells:
+        for row in cells:
             for v in row:
                 if not 0 <= v <= m:
                     raise ValueError(f"cell value {v} outside [0, {m}]")
+        self.order = order
         # own the storage; callers keep their lists
-        self.cells = [list(row) for row in self.cells]
+        self.cells = [list(row) for row in cells]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.cells) == (other.order, other.cells)
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(order={self.order!r}, "
+                f"cells={self.cells!r})")
 
     @property
     def side(self) -> int:

@@ -8,8 +8,7 @@ declared capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 # Emulated word width.  Capacities up to 25 (order-5 boards) must fit per
 # the 32-bit minimum; we allow the full 64 bits of a wide word.
@@ -52,21 +51,48 @@ def _check_same_capacity(a: "SmallSet", b: "SmallSet") -> None:
             f"capacity mismatch: {a.capacity} vs {b.capacity}")
 
 
-@dataclass(frozen=True, slots=True)
 class SmallSet:
-    """A subset of {1..capacity} packed into the bits of a nonnegative word."""
+    """A subset of {1..capacity} packed into the bits of a nonnegative word.
 
-    bits: int
-    capacity: int
+    Immutable: assigning or deleting an attribute raises AttributeError.
+    Two sets are == when both fields are; equal sets hash alike.
+    """
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.capacity <= WORD_WIDTH:
+    __slots__ = ("bits", "capacity")
+
+    def __init__(self, bits: int, capacity: int) -> None:
+        if not 1 <= capacity <= WORD_WIDTH:
             raise CapacityError(
-                f"capacity {self.capacity} outside [1, {WORD_WIDTH}]")
-        if not 0 <= self.bits < (1 << self.capacity):
+                f"capacity {capacity} outside [1, {WORD_WIDTH}]")
+        if not 0 <= bits < (1 << capacity):
             raise ValueError(
-                f"bit pattern {self.bits:#x} has bits outside capacity "
-                f"{self.capacity}")
+                f"bit pattern {bits:#x} has bits outside capacity "
+                f"{capacity}")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "capacity", capacity)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__, not through the
+        # __setattr__ that refuses every write.
+        return SmallSet, (self.bits, self.capacity)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.bits, self.capacity) == (other.bits, other.capacity)
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.capacity))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(bits={self.bits!r}, "
+                f"capacity={self.capacity!r})")
 
     @classmethod
     def empty(cls, capacity: int) -> "SmallSet":

@@ -21,7 +21,6 @@ the search, so propagation must replace the open list, never mutate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .grid import Grid, first_conflict, unit_table
@@ -50,7 +49,6 @@ FEWEST_CANDIDATES = "fewest-candidates"
 FIRST_BLANK = "first-blank"
 
 
-@dataclass
 class SolverState:
     """A board as flat cells plus the missing-value words and open cells.
 
@@ -59,12 +57,28 @@ class SolverState:
     i-1, column j at m + j-1, block (k, l) at 2m + (k-1)*n + l-1.  open is
     the ascending list of blank flat indices.  All are kept in lockstep;
     grid, blanks, and the *_missing SmallSet views are derived from them.
+    Two states are == when all four fields are; states are unhashable.
     """
 
-    order: int
-    cells: list[int]
-    words: list[int]
-    open: list[int]
+    __hash__ = None
+
+    def __init__(self, order: int, cells: list[int], words: list[int],
+                 open: list[int]) -> None:
+        self.order = order
+        self.cells = cells
+        self.words = words
+        self.open = open
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.order, self.cells, self.words, self.open)
+                == (other.order, other.cells, other.words, other.open))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(order={self.order!r}, "
+                f"cells={self.cells!r}, words={self.words!r}, "
+                f"open={self.open!r})")
 
     @property
     def grid(self) -> Grid:
@@ -99,18 +113,42 @@ class SolverState:
                 for k in range(n)]
 
 
-@dataclass
 class SolveReport:
-    """Outcome of a solve run."""
+    """Outcome of a solve run.
 
-    solution_count: int
-    solutions: list[Grid]
-    trials: int
-    propagation_passes: int
-    terminal_event: Event
-    # True when a solution limit stopped the search with candidate branches
-    # still untried; solution_count is then a lower bound.
-    truncated: bool = False
+    truncated is True when a solution limit stopped the search with
+    candidate branches still untried; solution_count is then a lower bound.
+    Two reports are == when every field is; reports are unhashable.
+    """
+
+    __hash__ = None
+
+    def __init__(self, solution_count: int, solutions: list[Grid],
+                 trials: int, propagation_passes: int, terminal_event: Event,
+                 truncated: bool = False) -> None:
+        self.solution_count = solution_count
+        self.solutions = solutions
+        self.trials = trials
+        self.propagation_passes = propagation_passes
+        self.terminal_event = terminal_event
+        self.truncated = truncated
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.solution_count, self.solutions, self.trials,
+                 self.propagation_passes, self.terminal_event, self.truncated)
+                == (other.solution_count, other.solutions, other.trials,
+                    other.propagation_passes, other.terminal_event,
+                    other.truncated))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}("
+                f"solution_count={self.solution_count!r}, "
+                f"solutions={self.solutions!r}, trials={self.trials!r}, "
+                f"propagation_passes={self.propagation_passes!r}, "
+                f"terminal_event={self.terminal_event!r}, "
+                f"truncated={self.truncated!r})")
 
 
 def init_state(g: Grid) -> SolverState:

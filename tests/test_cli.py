@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from bitsudoku.cli import main
 from bitsudoku.grid import is_sudoku_matrix, parse
 
-from oracles import primes_by_trial_division
+from oracles import primes_by_trial_division, shuffled_valid_grid
 
 EMPTY_4 = "2\n" + "0 0 0 0\n" * 4
 COMPLETE_4 = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
@@ -183,6 +184,20 @@ def test_classic_format_rejected_for_other_orders(puzzle_file, capsys):
     assert "order-3" in capsys.readouterr().err
 
 
+def test_classic_format_is_ignored_by_count(puzzle_file, capsys):
+    code = main(["count", "--format", "classic", puzzle_file(EMPTY_4)])
+    assert capsys.readouterr().out == "solutions=288\n"
+    assert code == 0
+
+
+def test_classic_format_is_ignored_by_check(puzzle_file, capsys):
+    grid = shuffled_valid_grid(4, random.Random(1))
+    text = "4\n" + "".join(" ".join(map(str, row)) + "\n" for row in grid)
+    code = main(["check", "--format", "classic", puzzle_file(text)])
+    assert capsys.readouterr().out == "VALID\n"
+    assert code == 0
+
+
 def test_conflicting_clues_count_as_unsolvable(puzzle_file, capsys):
     twice = "2\n1 0 1 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
     code = main(["count", puzzle_file(twice)])
@@ -280,3 +295,24 @@ def test_repeat_invocations_are_byte_identical(puzzle_file, capsys):
         main(["count", "--stats", "--limit", "50", path])
         runs.append(capsys.readouterr().out.encode())
     assert runs[0] == runs[1]
+
+
+# Modules whose import cost a bare interpreter start should not pay: the
+# dataclass machinery (dataclasses with inspect, ast, dis and tokenize) and
+# typing.  Under -S no site hook imports them first.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_cli_import_loads_no_heavy_modules():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; b = set(sys.modules); import bitsudoku.cli; "
+            "print(' '.join(sorted(set(sys.modules) - b)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "bitsudoku.cli" in loaded
+    assert loaded.isdisjoint(HEAVY_MODULES), sorted(
+        loaded.intersection(HEAVY_MODULES))
