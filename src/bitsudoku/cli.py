@@ -13,7 +13,8 @@ import argparse
 import os
 import sys
 
-from .grid import PuzzleFormatError, is_sudoku_matrix, parse, render
+from .grid import (IncompleteGridError, PuzzleFormatError, is_sudoku_matrix,
+                   parse, render)
 from .sieve import primes_up_to
 from .solver import ConflictError, Event, SolveReport, solve
 
@@ -33,6 +34,13 @@ def _read_text(path: str) -> str:
         return sys.stdin.read().encode("utf-8", "surrogateescape").decode()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _ascii_int(text: str) -> int:
+    """A number in ASCII digits only, as parse() reads a clue: no sign."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}")
+    return int(text)
 
 
 def _count_field(report: SolveReport) -> str:
@@ -64,11 +72,12 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.subcommand == "check":
-        if g.blank_count() > 0:
+        try:
+            ok = is_sudoku_matrix(g)
+        except IncompleteGridError:
             print("error: check requires a complete grid (no blanks)",
                   file=sys.stderr)
             return 2
-        ok = is_sudoku_matrix(g)
         print("VALID" if ok else "INVALID")
         return 0 if ok else 1
 
@@ -79,7 +88,7 @@ def run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
-        report = solve(g, cap=max(1, args.cap) if solving else args.cap,
+        report = solve(g, cap=1 if solving else 0,
                        limit=1 if solving else args.limit)
     except ConflictError as exc:
         print(f"conflicting clues: {exc}", file=sys.stderr)
@@ -108,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output rendering (classic is order-3 only)")
     common.add_argument("--stats", action="store_true",
                         help="emit a 'solutions= trials= passes=' line")
-    common.add_argument("--cap", type=int, default=1, metavar="N",
-                        help="retain at most N solutions (default 1)")
+    common.add_argument("--cap", type=_ascii_int, default=1, metavar="N",
+                        help="accepted for compatibility; changes no output")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("solve", parents=[common],
@@ -119,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", parents=[common],
                        help="count every solution")
     p.add_argument("input", metavar="path|-", help="puzzle file or - for stdin")
-    p.add_argument("--limit", type=int, metavar="N",
+    p.add_argument("--limit", type=_ascii_int, metavar="N",
                    help="stop after counting N solutions")
 
     p = sub.add_parser("check", parents=[common],
@@ -128,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", parents=[common],
                        help="print all primes up to N, one per line")
-    p.add_argument("bound", type=int, metavar="N")
+    p.add_argument("bound", type=_ascii_int, metavar="N")
 
     return parser
 
@@ -136,12 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cap < 0:
-        parser.error("--cap must be >= 0")
     if getattr(args, "limit", None) is not None and args.limit < 1:
         parser.error("--limit must be >= 1")
-    if args.subcommand == "sieve" and args.bound < 0:
-        parser.error("N must be >= 0")
     try:
         code = run(args)
         sys.stdout.flush()

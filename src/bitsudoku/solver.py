@@ -5,18 +5,19 @@ still missing from its row, its column, and its block.  Propagation sweeps
 the blanks in row-major order: an empty intersection is a contradiction, a
 singleton is assigned on the spot, and a sweep that assigns nothing leaves
 the rest to trial and error.  Each trial speculatively assigns one
-candidate at the branching cell and recurses; trials are counted, every
-solution is counted, and enumeration is exhaustive unless a limit is set.
+candidate at the branching cell and propagates again, in one loop over a
+stack of frames; trials are counted, every solution is counted, and
+enumeration is exhaustive unless a limit is set.
 
 The state is flat.  Cell (i, j) of an m×m board is index k = (i-1)·m + j-1
 of one cell list, and the 3m unit words (rows, then columns, then blocks)
-share one list.  The board geometry comes from grid.unit_table, a
-per-order tuple, built once and never mutated, that maps k to the indices
-of its three words.  The blank cells form one ascending list of flat
-indices, which each sweep rebuilds from the cells it leaves blank.  A
-search frame snapshots its cells, words and open list (less its branch
-cell) and restores them by slice copy after each trial that does not end
-the search, so propagation must replace the open list, never mutate it.
+share one list.  The board geometry comes from grid.unit_table, a per-order
+tuple, built once and never mutated, that maps k to the indices of its
+three words.  The blank cells form one ascending list of flat indices,
+which each sweep rebuilds from the cells it leaves blank.  A search frame
+snapshots its cells, words and open list (less its branch cell); after a
+dead end or a solution, the deepest frame with values left restores them by
+slice copy, so propagation must replace the open list, never mutate it.
 """
 
 from __future__ import annotations
@@ -278,12 +279,12 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
 
     Propagation runs first; when it stalls, one blank cell is chosen by the
     `branch` policy and every candidate there is tried in ascending order,
-    each attempt counted as one trial before recursing.  With `limit` set,
-    enumeration stops as soon as that many solutions have been counted and
-    the reported count is a lower bound.  The default policy branches on a
-    cell with the fewest candidates (ties row-major); FIRST_BLANK always
-    takes the first blank, which changes the trial count but never the
-    solution count.
+    each attempt counted as one trial before propagating again.  With
+    `limit` set, enumeration stops as soon as that many solutions have been
+    counted and the reported count is a lower bound, truncated if values
+    were left untried.  The default policy branches on a cell with the
+    fewest candidates (ties row-major); FIRST_BLANK always takes the first
+    blank, which changes the trial count but never the solution count.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -293,56 +294,50 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
         raise ValueError(f"unknown branch policy {branch!r}")
 
     state = init_state(g)
-    cells = state.cells
-    words = state.words
+    cells, words = state.cells, state.words
     units = unit_table(state.order)
     solutions: list[Grid] = []
     count = 0
     trials = 0
-    skipped_branches = False
-
-    def search(event: Event) -> bool:
-        nonlocal count, trials, passes_total, skipped_branches
-        if event is Event.E2_SOLVED:
-            count += 1
-            if len(solutions) < cap:
-                solutions.append(state.grid)
-            return limit is not None and count >= limit
-        if event is Event.E1_CONTRADICTION:
-            return False
-        k = _branch_cell(state, branch)
-        a, b, c = units[k]
-        untried = words[a] & words[b] & words[c]
-        saved_cells = cells[:]
-        saved_words = words[:]
-        rest = state.open.copy()
-        rest.remove(k)
-        while untried:
-            bit = untried & -untried   # lowest value first
-            untried ^= bit
-            trials += 1
-            state.open = rest
-            cells[k] = bit.bit_length()
-            words[a] &= ~bit
-            words[b] &= ~bit
-            words[c] &= ~bit
-            _, event, passes = propagate(state)
-            passes_total += passes
-            if search(event):
-                if untried:
-                    skipped_branches = True
-                return True
+    # Each frame is (untried, k, saved cells, saved words, open list less k)
+    # and stays on the stack only while it has values left to try.
+    stack: list[tuple[int, int, list[int], list[int], list[int]]] = []
+    _, root_event, passes_total = propagate(state)
+    event = root_event
+    while True:
+        if event is Event.E3_EXHAUSTED_BY_SEARCH:
+            k = _branch_cell(state, branch)
+            a, b, c = units[k]
+            untried = words[a] & words[b] & words[c]
+            saved_cells, saved_words = cells[:], words[:]
+            rest = state.open.copy()
+            rest.remove(k)
+        else:
+            if event is Event.E2_SOLVED:
+                count += 1
+                if len(solutions) < cap:
+                    solutions.append(state.grid)
+                if limit is not None and count >= limit:
+                    break
+            if not stack:
+                break
+            # Back from a leaf: restore the deepest frame with values left.
+            untried, k, saved_cells, saved_words, rest = stack.pop()
             cells[:] = saved_cells
             words[:] = saved_words
-        return False
-
-    _, root_event, passes_total = propagate(state)
-    search(root_event)
-    return SolveReport(
-        solution_count=count,
-        solutions=solutions,
-        trials=trials,
-        propagation_passes=passes_total,
-        terminal_event=root_event,
-        truncated=skipped_branches,
-    )
+            a, b, c = units[k]
+        bit = untried & -untried       # lowest value first
+        untried ^= bit
+        if untried:
+            stack.append((untried, k, saved_cells, saved_words, rest))
+        trials += 1
+        state.open = rest
+        cells[k] = bit.bit_length()
+        words[a] &= ~bit
+        words[b] &= ~bit
+        words[c] &= ~bit
+        _, event, passes = propagate(state)
+        passes_total += passes
+    return SolveReport(solution_count=count, solutions=solutions,
+                       trials=trials, propagation_passes=passes_total,
+                       terminal_event=root_event, truncated=bool(stack))

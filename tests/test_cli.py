@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from bitsudoku import cli
 from bitsudoku.cli import main
 from bitsudoku.grid import is_sudoku_matrix, parse
 
@@ -275,11 +276,34 @@ def test_sieve_bound_too_large_to_allocate_exits_2(bound, capsys):
     ["sieve", "--", "-5"],
     ["frobnicate", "x"],
     [],
+    # Numbers take ASCII digits only, as puzzle files do.
+    ["sieve", "\u0663"],             # ARABIC-INDIC DIGIT THREE
+    ["sieve", "+7"],
+    ["sieve", "1_0"],
+    ["sieve", " 7 "],
+    ["count", "--limit", "\u0662", "x"],
+    ["solve", "--cap", "+1", "x"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+def test_count_retains_no_boards_whatever_the_cap(puzzle_file, monkeypatch,
+                                                  capsys):
+    caps = []
+    real_solve = cli.solve
+
+    def spy(g, cap, limit):
+        caps.append(cap)
+        return real_solve(g, cap=cap, limit=limit)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    code = main(["count", "--cap", "100000", puzzle_file(EMPTY_4)])
+    assert code == 0
+    assert capsys.readouterr().out == "solutions=288\n"
+    assert caps == [0]
 
 
 def test_solve_keeps_a_solution_even_with_cap_zero(puzzle_file, capsys):

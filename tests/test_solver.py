@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -312,6 +313,37 @@ def test_solve_limit_stops_early():
     report = solve(grid4(), limit=10)
     assert report.solution_count == 10
     assert report.truncated
+
+
+# The 288th solution is the last one the full enumeration finds, so a limit
+# of 288 stops with nothing left untried, after all 568 trials.
+@pytest.mark.parametrize("limit, count, truncated", [
+    (287, 287, True),
+    (288, 288, False),
+    (289, 288, False),
+])
+def test_solve_limit_at_the_last_solution(limit, count, truncated):
+    report = solve(grid4(), cap=0, limit=limit)
+    assert report.solution_count == count
+    assert report.truncated is truncated
+    if not truncated:
+        assert report.trials == 568
+
+
+def test_solve_search_depth_needs_no_python_recursion():
+    # The blank 16x16 board branches 182 times on its way to the first
+    # solution; the search must not spend a Python frame per branching.
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        report = solve(Grid(4, [[0] * 16 for _ in range(16)]), limit=1)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert report.solution_count == 1
+    assert is_sudoku_matrix(report.solutions[0])
 
 
 def test_solve_limit_zero_rejected():
