@@ -15,12 +15,8 @@ import sys
 
 from .grid import (IncompleteGridError, PuzzleFormatError, is_sudoku_matrix,
                    parse, render)
-from .sieve import primes_up_to
+from .sieve import prime_segments
 from .solver import ConflictError, Event, SolveReport, solve
-
-
-# Primes per stdout write: the output streams without one huge string.
-_SIEVE_CHUNK = 4096
 
 
 def _read_text(path: str) -> str:
@@ -56,14 +52,12 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line and return the process exit code."""
     if args.subcommand == "sieve":
         try:
-            primes = primes_up_to(args.bound)
+            for primes in prime_segments(args.bound):
+                sys.stdout.write("".join(f"{p}\n" for p in primes))
         except (OverflowError, MemoryError):
             print(f"error: N={args.bound} is too large to sieve",
                   file=sys.stderr)
             return 2
-        for lo in range(0, len(primes), _SIEVE_CHUNK):
-            sys.stdout.write("".join(
-                f"{p}\n" for p in primes[lo:lo + _SIEVE_CHUNK]))
         return 0
 
     try:

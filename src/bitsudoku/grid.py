@@ -105,9 +105,6 @@ class Grid:
                 if self.cells[r][c] != 0:
                     yield r + 1, c + 1, self.cells[r][c]
 
-    def blank_count(self) -> int:
-        return sum(row.count(0) for row in self.cells)
-
     def blank_positions(self) -> Iterator[tuple[int, int]]:
         """Blank cells as 1-based (i, j), row-major."""
         for r in range(self.side):

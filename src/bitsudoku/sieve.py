@@ -1,17 +1,19 @@
 """Prime generation by striking composites in packed bits.
 
-`primes_up_to` keeps only the odd numbers, as the bits of one Python int:
+`prime_segments` keeps only the odd numbers, as the bits of one Python int:
 bit i stands for 2i + 1.  Each odd prime p strikes all of its odd
 multiples from p*p on with one OR of a periodic tile (bits 0, p, 2p, ...),
 built by doubling in O(log(n/p)) word-parallel operations.  The survivors
-are read back in fixed segments, each turned into a string of flag bytes
-that `itertools.compress` filters at C speed.  `BitArray` is a general
-packed bit array in machine words, with checked per-bit access.
+are read back and yielded in fixed segments, each turned into a string of
+flag bytes that `itertools.compress` filters at C speed; `primes_up_to`
+joins them into one list.  `BitArray` is a general packed bit array in
+machine words, with checked per-bit access.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from collections.abc import Iterator
+from itertools import chain, compress
 from math import isqrt
 
 from .smallset import WORD_WIDTH
@@ -60,8 +62,14 @@ _PRIME_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 
 def primes_up_to(n: int) -> list[int]:
     """All primes p <= n, ascending.  1 is not a prime and never appears."""
+    return list(chain.from_iterable(prime_segments(n)))
+
+
+def prime_segments(n: int) -> Iterator[list[int]]:
+    """The primes p <= n: [2], then one list per segment, ascending.  All
+    the striking comes first, so a too-large bound raises before any list."""
     if n < 2:
-        return []
+        return
     length = (n + 1) // 2  # the odd numbers 1, 3, ..., <= n
     # The top bit (past the last number) gives `struck` its full width at
     # once, so a bound too large to allocate fails here, before recursing.
@@ -75,7 +83,8 @@ def primes_up_to(n: int) -> list[int]:
             width <<= 1
         struck |= (tile & ((1 << span) - 1)) << start
     data = struck.to_bytes(length // 8 + 1, "little")
-    primes = [2]
+    del struck
+    yield [2]
     for lo in range(0, length, _SEGMENT_BITS):
         chunk = data[lo // 8:(lo + _SEGMENT_BITS) // 8]
         # A sentinel bit above the chunk fixes the digit count; [:0:-1]
@@ -83,5 +92,4 @@ def primes_up_to(n: int) -> list[int]:
         # chunk or at n, whichever comes first.
         bits = int.from_bytes(chunk, "little") | 1 << 8 * len(chunk)
         flags = format(bits, "b")[:0:-1].encode().translate(_PRIME_FLAGS)
-        primes.extend(compress(range(2 * lo + 1, n + 1, 2), flags))
-    return primes
+        yield list(compress(range(2 * lo + 1, n + 1, 2), flags))

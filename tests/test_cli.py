@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -228,9 +229,12 @@ def test_sieve_lists_primes(capsys):
     assert code == 0
 
 
-# pi(N) = 4095, 4096 and 4097: one line short of, exactly at and one line
-# past a full stdout chunk; 0, 1 and 2 print no line or one.
-@pytest.mark.parametrize("bound", [0, 1, 2, 38872, 38873, 38891])
+# Each extraction segment is one stdout write: odd-number bits 2**15 and
+# 2**16 (65537, 131073) start new segments, so 65536 and 131072 end one.
+# pi(N) = 4095, 4096 and 4097 at 38872, 38873 and 38891; 0, 1 and 2 print
+# no line or one.
+@pytest.mark.parametrize("bound", [0, 1, 2, 38872, 38873, 38891,
+                                   65536, 65537, 131072, 131073])
 def test_sieve_output_matches_trial_division(bound, capsys):
     code = main(["sieve", str(bound)])
     assert code == 0
@@ -251,15 +255,37 @@ def test_sieve_into_a_closed_pipe_exits_141_quietly():
     assert err == b""
 
 
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# The primes up to 10**6 alone take about 2.8 MB as a list of ints; each
+# segment is written before the next is read, so none of them is kept.
+def test_sieve_holds_no_prime_list(monkeypatch):
+    monkeypatch.setattr("sys.stdout", _Discard())
+    tracemalloc.start()
+    try:
+        code = main(["sieve", "1000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.5e6, peak
+
+
 def test_sieve_one_yields_nothing(capsys):
     code = main(["sieve", "1"])
     assert capsys.readouterr().out == ""
     assert code == 0
 
 
-# Neither bound allocates anything: 10**21 bits overflow the index type of
-# the word list, and 10**19 bits ask for about 1.25e18 bytes, more than a
-# 64-bit address space holds.
+# Neither bound allocates anything: at 10**21 the shift count of the
+# full-width int overflows, and 10**19 asks for about 6.25e17 bytes, more
+# than a 64-bit address space holds.
 @pytest.mark.parametrize("bound", ["1000000000000000000000",
                                    "10000000000000000000"])
 def test_sieve_bound_too_large_to_allocate_exits_2(bound, capsys):
