@@ -22,12 +22,8 @@ from .solver import ConflictError, Event, SolveReport, solve
 def _read_text(path: str) -> str:
     if path == "-":
         # Decode stdin's bytes strictly as UTF-8, as a file is, whatever
-        # its text encoding.  A stdin without bytes (a StringIO) has only
-        # text: undo its surrogateescape, then decode the same way.
-        buffer = getattr(sys.stdin, "buffer", None)
-        if buffer is not None:
-            return buffer.read().decode()
-        return sys.stdin.read().encode("utf-8", "surrogateescape").decode()
+        # its text encoding.
+        return sys.stdin.buffer.read().decode()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

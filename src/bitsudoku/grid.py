@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import cache
 
+from .smallset import _Record
+
 MIN_ORDER = 2
 MAX_ORDER = 5
 
@@ -32,22 +34,27 @@ class PuzzleFormatError(ValueError):
         self.column = column
 
 
-def block_of(i: int, j: int, n: int) -> tuple[int, int]:
-    """Block coordinates (k, l) of cell (i, j) on an order-n board."""
-    side = n * n
+def cell_index(i: int, j: int, side: int) -> int:
+    """Flat index (i-1)·side + j-1 of cell (i, j) on a side×side board."""
     if not (1 <= i <= side and 1 <= j <= side):
         raise IndexError(f"cell ({i}, {j}) outside 1..{side}")
+    return (i - 1) * side + j - 1
+
+
+def block_of(i: int, j: int, n: int) -> tuple[int, int]:
+    """Block coordinates (k, l) of cell (i, j) on an order-n board."""
+    cell_index(i, j, n * n)
     return (i - 1) // n + 1, (j - 1) // n + 1
 
 
-class Grid:
+class Grid(_Record):
     """Cell storage for one board; `cells[r][c]` is 0-based raw access.
 
     Two grids are == when their order and cells are; grids are mutable and
     unhashable.
     """
 
-    __hash__ = None
+    _fields = ("order", "cells")
 
     def __init__(self, order: int, cells: list[list[int]]) -> None:
         if not MIN_ORDER <= order <= MAX_ORDER:
@@ -64,33 +71,20 @@ class Grid:
         # own the storage; callers keep their lists
         self.cells = [list(row) for row in cells]
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.cells) == (other.order, other.cells)
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(order={self.order!r}, "
-                f"cells={self.cells!r})")
-
     @property
     def side(self) -> int:
         return self.order * self.order
 
     def value(self, i: int, j: int) -> int:
         """Cell value at 1-based (i, j)."""
-        self._check_index(i, j)
+        cell_index(i, j, self.side)
         return self.cells[i - 1][j - 1]
 
     def set_value(self, i: int, j: int, v: int) -> None:
-        self._check_index(i, j)
+        cell_index(i, j, self.side)
         if not 0 <= v <= self.side:
             raise ValueError(f"cell value {v} outside [0, {self.side}]")
         self.cells[i - 1][j - 1] = v
-
-    def _check_index(self, i: int, j: int) -> None:
-        if not (1 <= i <= self.side and 1 <= j <= self.side):
-            raise IndexError(f"cell ({i}, {j}) outside 1..{self.side}")
 
     def copy(self) -> "Grid":
         """An independent copy; the constructor copies every row."""
@@ -104,13 +98,6 @@ class Grid:
             for c in range(self.side):
                 if self.cells[r][c] != 0:
                     yield r + 1, c + 1, self.cells[r][c]
-
-    def blank_positions(self) -> Iterator[tuple[int, int]]:
-        """Blank cells as 1-based (i, j), row-major."""
-        for r in range(self.side):
-            for c in range(self.side):
-                if self.cells[r][c] == 0:
-                    yield r + 1, c + 1
 
 
 @cache
@@ -128,8 +115,10 @@ def is_sudoku_matrix(g: Grid) -> bool:
     The grid must be complete; blanks raise IncompleteGridError.  On a
     complete board a unit without a repeated value is a permutation.
     """
-    for i, j in g.blank_positions():
-        raise IncompleteGridError(f"blank cell at ({i}, {j})")
+    for i, row in enumerate(g.cells, start=1):
+        if 0 in row:
+            raise IncompleteGridError(
+                f"blank cell at ({i}, {row.index(0) + 1})")
     return first_conflict(g) is None
 
 

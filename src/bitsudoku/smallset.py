@@ -4,6 +4,9 @@ Element d occupies bit d-1 of the word, so the empty set encodes as 0 and
 the full universe as 2**m - 1.  Values are immutable: every operation
 returns a new set, and no operation ever produces a bit at or above the
 declared capacity.
+
+This leaf module also holds _Record, the field-wise == and repr that the
+package's four public classes share.
 """
 
 from __future__ import annotations
@@ -51,14 +54,40 @@ def _check_same_capacity(a: "SmallSet", b: "SmallSet") -> None:
             f"capacity mismatch: {a.capacity} vs {b.capacity}")
 
 
-class SmallSet:
+class _Record:
+    """Field-wise == and a Name(field=value, ...) repr over _fields.
+
+    _fields names the constructor's parameters, in order.  Only objects of
+    the same class compare; any other operand gets NotImplemented.
+    Instances are unhashable unless a subclass defines __hash__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class SmallSet(_Record):
     """A subset of {1..capacity} packed into the bits of a nonnegative word.
 
     Immutable: assigning or deleting an attribute raises AttributeError.
     Two sets are == when both fields are; equal sets hash alike.
     """
 
-    __slots__ = ("bits", "capacity")
+    __slots__ = _fields = ("bits", "capacity")
 
     def __init__(self, bits: int, capacity: int) -> None:
         if not 1 <= capacity <= WORD_WIDTH:
@@ -82,17 +111,8 @@ class SmallSet:
         # __setattr__ that refuses every write.
         return SmallSet, (self.bits, self.capacity)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.bits, self.capacity) == (other.bits, other.capacity)
-
     def __hash__(self) -> int:
-        return hash((self.bits, self.capacity))
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(bits={self.bits!r}, "
-                f"capacity={self.capacity!r})")
+        return hash(self._values())
 
     @classmethod
     def empty(cls, capacity: int) -> "SmallSet":

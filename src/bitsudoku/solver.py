@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .grid import Grid, first_conflict, unit_table
-from .smallset import SmallSet
+from .grid import Grid, cell_index, first_conflict, unit_table
+from .smallset import SmallSet, _Record
 
 
 class ConflictError(ValueError):
@@ -50,7 +50,7 @@ FEWEST_CANDIDATES = "fewest-candidates"
 FIRST_BLANK = "first-blank"
 
 
-class SolverState:
+class SolverState(_Record):
     """A board as flat cells plus the missing-value words and open cells.
 
     cells[(i-1)*m + j-1] is the value at (i, j), 0 for a blank.  words
@@ -61,7 +61,7 @@ class SolverState:
     Two states are == when all four fields are; states are unhashable.
     """
 
-    __hash__ = None
+    _fields = ("order", "cells", "words", "open")
 
     def __init__(self, order: int, cells: list[int], words: list[int],
                  open: list[int]) -> None:
@@ -69,17 +69,6 @@ class SolverState:
         self.cells = cells
         self.words = words
         self.open = open
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.order, self.cells, self.words, self.open)
-                == (other.order, other.cells, other.words, other.open))
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}(order={self.order!r}, "
-                f"cells={self.cells!r}, words={self.words!r}, "
-                f"open={self.open!r})")
 
     @property
     def grid(self) -> Grid:
@@ -114,7 +103,7 @@ class SolverState:
                 for k in range(n)]
 
 
-class SolveReport:
+class SolveReport(_Record):
     """Outcome of a solve run.
 
     truncated is True when a solution limit stopped the search with
@@ -122,7 +111,8 @@ class SolveReport:
     Two reports are == when every field is; reports are unhashable.
     """
 
-    __hash__ = None
+    _fields = ("solution_count", "solutions", "trials", "propagation_passes",
+               "terminal_event", "truncated")
 
     def __init__(self, solution_count: int, solutions: list[Grid],
                  trials: int, propagation_passes: int, terminal_event: Event,
@@ -133,23 +123,6 @@ class SolveReport:
         self.propagation_passes = propagation_passes
         self.terminal_event = terminal_event
         self.truncated = truncated
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.solution_count, self.solutions, self.trials,
-                 self.propagation_passes, self.terminal_event, self.truncated)
-                == (other.solution_count, other.solutions, other.trials,
-                    other.propagation_passes, other.terminal_event,
-                    other.truncated))
-
-    def __repr__(self) -> str:
-        return (f"{self.__class__.__qualname__}("
-                f"solution_count={self.solution_count!r}, "
-                f"solutions={self.solutions!r}, trials={self.trials!r}, "
-                f"propagation_passes={self.propagation_passes!r}, "
-                f"terminal_event={self.terminal_event!r}, "
-                f"truncated={self.truncated!r})")
 
 
 def init_state(g: Grid) -> SolverState:
@@ -180,16 +153,9 @@ def init_state(g: Grid) -> SolverState:
     return SolverState(g.order, cells, words, blank)
 
 
-def _flat_index(state: SolverState, i: int, j: int) -> int:
-    m = state.order * state.order
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise IndexError(f"cell ({i}, {j}) outside 1..{m}")
-    return (i - 1) * m + j - 1
-
-
 def candidates(state: SolverState, i: int, j: int) -> SmallSet:
     """Values legally placeable at blank cell (i, j)."""
-    k = _flat_index(state, i, j)
+    k = cell_index(i, j, state.order * state.order)
     if state.cells[k] != 0:
         raise ValueError(f"cell ({i}, {j}) is not blank")
     a, b, c = unit_table(state.order)[k]
@@ -201,7 +167,7 @@ def assign(state: SolverState, i: int, j: int, d: int) -> SolverState:
     """Place d at blank cell (i, j), updating the words and open list."""
     if not candidates(state, i, j).contains(d):
         raise ValueError(f"{d} is not a candidate at ({i}, {j})")
-    k = _flat_index(state, i, j)
+    k = cell_index(i, j, state.order * state.order)
     a, b, c = unit_table(state.order)[k]
     bit = 1 << (d - 1)
     state.cells[k] = d

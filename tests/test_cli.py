@@ -125,15 +125,16 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
 
 
 def test_reads_from_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(EMPTY_4))
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(EMPTY_4.encode())))
     code = main(["count", "-"])
     assert capsys.readouterr().out == "solutions=288\n"
     assert code == 0
 
 
 def test_undecodable_stdin_names_the_byte(monkeypatch, capsys):
-    # Python hands undecodable stdin bytes over as lone surrogates.
-    monkeypatch.setattr("sys.stdin", io.StringIO("\udcff\udcfe5300"))
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(b"\xff\xfe5300")))
     code = main(["solve", "-"])
     captured = capsys.readouterr()
     assert code == 2
