@@ -2,9 +2,9 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 for a solution,
 a valid grid or a finished sieve; 1 for none or an invalid grid; 2 for parse
-and usage errors, non-UTF-8 input, and a sieve bound too large to allocate;
-141 (128 + SIGPIPE) when the reader closes stdout early, as `sieve N | head`
-does.
+and usage errors, unreadable or non-UTF-8 input (a closed stdin included),
+and a sieve bound too large to allocate; 141 (128 + SIGPIPE) when the reader
+closes stdout early, as `sieve N | head` does.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .solver import ConflictError, Event, SolveReport, solve
 
 def _read_text(path: str) -> str:
     if path == "-":
+        if sys.stdin is None:           # started with fd 0 closed
+            raise OSError("stdin is closed")
         # Decode stdin's bytes strictly as UTF-8, as a file is, whatever
         # its text encoding.
         return sys.stdin.buffer.read().decode()

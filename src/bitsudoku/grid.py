@@ -8,7 +8,6 @@ array is ordinary 0-based storage.  Cell (i, j) lies in block (k, l) with
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import cache
 
 from .smallset import _Record
@@ -91,13 +90,6 @@ class Grid(_Record):
         return Grid(self.order, self.cells)
 
     to_grid = copy
-
-    def clues(self) -> Iterator[tuple[int, int, int]]:
-        """Nonzero cells as 1-based (row, column, value) triples."""
-        for r in range(self.side):
-            for c in range(self.side):
-                if self.cells[r][c] != 0:
-                    yield r + 1, c + 1, self.cells[r][c]
 
 
 @cache

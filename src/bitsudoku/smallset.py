@@ -198,15 +198,9 @@ class SmallSet(_Record):
     __or__ = union
     __sub__ = difference
     __le__ = is_subset
-
-    def __contains__(self, d: int) -> bool:
-        return self.contains(d)
-
-    def __iter__(self) -> Iterator[int]:
-        return self.elements()
-
-    def __len__(self) -> int:
-        return self.cardinality()
+    __contains__ = contains
+    __iter__ = elements
+    __len__ = cardinality
 
     def __bool__(self) -> bool:
         return self.bits != 0

@@ -15,9 +15,9 @@ share one list.  The board geometry comes from grid.unit_table, a per-order
 tuple, built once and never mutated, that maps k to the indices of its
 three words.  The blank cells form one ascending list of flat indices,
 which each sweep rebuilds from the cells it leaves blank.  A search frame
-snapshots its cells, words and open list (less its branch cell); after a
-dead end or a solution, the deepest frame with values left restores them by
-slice copy, so propagation must replace the open list, never mutate it.
+saves its words and open list (less its branch cell), never its cells; the
+deepest frame with values left restores them after a dead end or a
+solution, so propagation must replace the open list, never mutate it.
 """
 
 from __future__ import annotations
@@ -56,8 +56,10 @@ class SolverState(_Record):
     cells[(i-1)*m + j-1] is the value at (i, j), 0 for a blank.  words
     holds the values absent from each unit, value d at bit d-1: row i at
     i-1, column j at m + j-1, block (k, l) at 2m + (k-1)*n + l-1.  open is
-    the ascending list of blank flat indices.  All are kept in lockstep;
-    grid, blanks, and the *_missing SmallSet views are derived from them.
+    the ascending list of blank flat indices.  All are kept in lockstep,
+    except that inside solve an open cell may hold a value left by a failed
+    trial; grid, blanks, and the *_missing SmallSet views are derived from
+    them.
     Two states are == when all four fields are; states are unhashable.
     """
 
@@ -265,9 +267,12 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
     solutions: list[Grid] = []
     count = 0
     trials = 0
-    # Each frame is (untried, k, saved cells, saved words, open list less k)
-    # and stays on the stack only while it has values left to try.
-    stack: list[tuple[int, int, list[int], list[int], list[int]]] = []
+    # Each frame is (untried, k, saved words, open list less k) and stays on
+    # the stack only while it has values left to try.  Cells need no copy:
+    # below a frame only its open cells are written, so every other cell
+    # keeps its value on the path to it, and an open cell a failed trial
+    # wrote is rewritten before any E2 reads the cells through state.grid.
+    stack: list[tuple[int, int, list[int], list[int]]] = []
     _, root_event, passes_total = propagate(state)
     event = root_event
     while True:
@@ -275,7 +280,7 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
             k = _branch_cell(state, branch)
             a, b, c = units[k]
             untried = words[a] & words[b] & words[c]
-            saved_cells, saved_words = cells[:], words[:]
+            saved_words = words[:]
             rest = state.open.copy()
             rest.remove(k)
         else:
@@ -288,14 +293,13 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
             if not stack:
                 break
             # Back from a leaf: restore the deepest frame with values left.
-            untried, k, saved_cells, saved_words, rest = stack.pop()
-            cells[:] = saved_cells
+            untried, k, saved_words, rest = stack.pop()
             words[:] = saved_words
             a, b, c = units[k]
         bit = untried & -untried       # lowest value first
         untried ^= bit
         if untried:
-            stack.append((untried, k, saved_cells, saved_words, rest))
+            stack.append((untried, k, saved_words, rest))
         trials += 1
         state.open = rest
         cells[k] = bit.bit_length()

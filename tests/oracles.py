@@ -96,6 +96,13 @@ def brute_force_count(order: int, cells: list[list[int]],
     return len(brute_force_solutions(order, cells, limit))
 
 
+def clues(g) -> list[tuple[int, int, int]]:
+    """Nonzero cells of a Grid as 1-based (row, column, value) triples,
+    row-major."""
+    return [(r + 1, c + 1, v) for r, row in enumerate(g.cells)
+            for c, v in enumerate(row) if v != 0]
+
+
 # ---------------------------------------------------------------------------
 # Unit scan over explicit lists (reference for the validity checks)
 # ---------------------------------------------------------------------------

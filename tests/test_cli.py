@@ -12,7 +12,7 @@ from bitsudoku import cli
 from bitsudoku.cli import main
 from bitsudoku.grid import is_sudoku_matrix, parse
 
-from oracles import primes_by_trial_division, shuffled_valid_grid
+from oracles import clues, primes_by_trial_division, shuffled_valid_grid
 
 EMPTY_4 = "2\n" + "0 0 0 0\n" * 4
 COMPLETE_4 = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
@@ -75,7 +75,7 @@ def test_solve_output_reparses_as_valid_grid(puzzle_file, capsys):
     solved = parse(out).to_grid()
     assert is_sudoku_matrix(solved)
     original = parse(CLASSIC_81)
-    for i, j, v in original.clues():
+    for i, j, v in clues(original):
         assert solved.value(i, j) == v
 
 
@@ -171,6 +171,21 @@ def test_stdin_is_decoded_as_utf8_whatever_its_text_encoding():
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert b"byte 0xe9" in proc.stderr
+
+
+# With fd 0 closed, sys.stdin is None: reading "-" is an unreadable input,
+# one error line and exit 2, not a traceback.
+@pytest.mark.parametrize("command", ["solve", "count", "check"])
+def test_closed_stdin_is_an_input_error(command):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m bitsudoku "$1" - <&-', sys.executable,
+         command], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ")
+    assert proc.stderr.count(b"\n") == 1
 
 
 def test_classic_output_format(puzzle_file, capsys):

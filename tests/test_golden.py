@@ -15,7 +15,7 @@ import pytest
 
 from bitsudoku import (FEWEST_CANDIDATES, FIRST_BLANK, Event, Grid,
                        is_sudoku_matrix, solve)
-from oracles import delete_cells, shuffled_valid_grid
+from oracles import clues, delete_cells, shuffled_valid_grid
 
 CAP = 3
 E2 = Event.E2_SOLVED
@@ -120,5 +120,5 @@ def test_large_solutions_are_valid_and_keep_clues(order, seed, blanks,
     assert report.solutions
     for sol in report.solutions:
         assert is_sudoku_matrix(sol)
-        for i, j, v in puzzle.clues():
+        for i, j, v in clues(puzzle):
             assert sol.value(i, j) == v

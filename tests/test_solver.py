@@ -382,17 +382,31 @@ def test_solve_rejects_inconsistent_grid():
         solve(grid4(cells))
 
 
-def test_solutions_are_valid_and_preserve_clues():
+def _seeded_puzzles():
     rng = random.Random(29)
     for _ in range(10):
         full = shuffled_valid_grid(2, rng)
-        puzzle = delete_cells(full, rng.randint(4, 12), rng)
-        report = solve(Grid(2, puzzle), cap=300)
+        yield 2, delete_cells(full, rng.randint(4, 12), rng)
+    # Every solution of these boards is found after backtracking: 53, 63
+    # and 30 solutions at order 3, 64, 74 and 138 at order 4.
+    for order, blanks in ((3, (50, 56)), (4, (130, 145))):
+        for seed in (1, 5, 6):
+            rng = random.Random(seed)
+            full = shuffled_valid_grid(order, rng)
+            yield order, delete_cells(full, rng.randint(*blanks), rng)
+
+
+def test_solutions_are_valid_and_preserve_clues():
+    for order, puzzle in _seeded_puzzles():
+        m = order * order
+        report = solve(Grid(order, puzzle), cap=300)
         assert report.solution_count == len(report.solutions)
+        assert len({str(sol.cells) for sol in report.solutions}) == \
+            len(report.solutions)
         for sol in report.solutions:
             assert is_sudoku_matrix(sol)
-            for r in range(4):
-                for c in range(4):
+            for r in range(m):
+                for c in range(m):
                     if puzzle[r][c] != 0:
                         assert sol.cells[r][c] == puzzle[r][c]
 
