@@ -3,8 +3,9 @@
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 for a solution,
 a valid grid or a finished sieve; 1 for none or an invalid grid; 2 for parse
 and usage errors, unreadable or non-UTF-8 input (a closed stdin included),
-and a sieve bound too large to allocate; 141 (128 + SIGPIPE) when the reader
-closes stdout early, as `sieve N | head` does.
+a sieve bound too large to allocate, and a stdout that is closed or cannot
+be written; 141 (128 + SIGPIPE) when the reader closes stdout early, as
+`sieve N | head` does.
 """
 
 from __future__ import annotations
@@ -103,34 +104,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bitsudoku",
         description="Solve, count, and check n^2 x n^2 Sudoku puzzles; "
                     "list primes with a bit-array sieve.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("generic", "classic"),
-                        default="generic",
-                        help="output rendering (classic is order-3 only)")
-    common.add_argument("--stats", action="store_true",
-                        help="emit a 'solutions= trials= passes=' line")
-    common.add_argument("--cap", type=_ascii_int, default=1, metavar="N",
-                        help="accepted for compatibility; changes no output")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("solve", parents=[common],
-                       help="print the first solution or UNSOLVABLE")
-    p.add_argument("input", metavar="path|-", help="puzzle file or - for stdin")
-
-    p = sub.add_parser("count", parents=[common],
-                       help="count every solution")
-    p.add_argument("input", metavar="path|-", help="puzzle file or - for stdin")
-    p.add_argument("--limit", type=_ascii_int, metavar="N",
-                   help="stop after counting N solutions")
-
-    p = sub.add_parser("check", parents=[common],
-                       help="validate a complete grid (VALID/INVALID)")
-    p.add_argument("input", metavar="path|-", help="puzzle file or - for stdin")
-
-    p = sub.add_parser("sieve", parents=[common],
-                       help="print all primes up to N, one per line")
-    p.add_argument("bound", type=_ascii_int, metavar="N")
-
+    for name, summary in (
+            ("solve", "print the first solution or UNSOLVABLE"),
+            ("count", "count every solution"),
+            ("check", "validate a complete grid (VALID/INVALID)"),
+            ("sieve", "print all primes up to N, one per line")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=("generic", "classic"),
+                       default="generic",
+                       help="output rendering (classic is order-3 only)")
+        p.add_argument("--stats", action="store_true",
+                       help="emit a 'solutions= trials= passes=' line")
+        p.add_argument("--cap", type=_ascii_int, default=1, metavar="N",
+                       help="accepted for compatibility; changes no output")
+        if name == "sieve":
+            p.add_argument("bound", type=_ascii_int, metavar="N")
+        else:
+            p.add_argument("input", metavar="path|-",
+                           help="puzzle file or - for stdin")
+        if name == "count":
+            p.add_argument("--limit", type=_ascii_int, metavar="N",
+                           help="stop after counting N solutions")
     return parser
 
 
@@ -139,11 +134,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "limit", None) is not None and args.limit < 1:
         parser.error("--limit must be >= 1")
+    if sys.stdout is None:              # started with fd 1 closed
+        print("error: stdout is closed", file=sys.stderr)
+        return 2
     try:
         code = run(args)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         # Keep the flush at interpreter exit from failing a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 2
     return code

@@ -119,17 +119,16 @@ def is_consistent_partial(g: Grid) -> bool:
     return first_conflict(g) is None
 
 
-def first_conflict(g: Grid) -> tuple[str, int, int] | None:
-    """The first (unit kind, unit index, duplicated value), or None.
-
-    Units rank rows, then columns, then blocks; each reports the first value
-    it sees twice in one row-major pass that keeps a word per unit.
-    """
-    m = g.side
+def unit_scan(order: int, cells: list[int]
+              ) -> tuple[list[int], tuple[str, int, int] | None]:
+    """The words of values the row-major cells hold per unit of unit_table,
+    value d at bit d-1, and the first (unit kind, unit index, duplicated
+    value) or None: units rank rows, then columns, then blocks, and each
+    reports the first value it sees twice in this one pass."""
+    m = order * order
     seen = [0] * (3 * m)
     repeat = [0] * (3 * m)      # per unit, the first value seen twice
-    cells = (v for row in g.cells for v in row)
-    for v, units in zip(cells, unit_table(g.order)):
+    for v, units in zip(cells, unit_table(order)):
         if v:
             bit = 1 << (v - 1)
             for u in units:
@@ -138,8 +137,13 @@ def first_conflict(g: Grid) -> tuple[str, int, int] | None:
                 seen[u] |= bit
     for u, v in enumerate(repeat):
         if v:
-            return ("row", "column", "block")[u // m], u % m + 1, v
-    return None
+            return seen, (("row", "column", "block")[u // m], u % m + 1, v)
+    return seen, None
+
+
+def first_conflict(g: Grid) -> tuple[str, int, int] | None:
+    """The first conflict unit_scan finds on g, or None."""
+    return unit_scan(g.order, [v for row in g.cells for v in row])[1]
 
 
 def parse(text: str) -> Grid:

@@ -10,11 +10,10 @@ stack of frames; trials are counted, every solution is counted, and
 enumeration is exhaustive unless a limit is set.
 
 The state is flat.  Cell (i, j) of an m×m board is index k = (i-1)·m + j-1
-of one cell list, and the 3m unit words (rows, then columns, then blocks)
-share one list.  The board geometry comes from grid.unit_table, a per-order
-tuple, built once and never mutated, that maps k to the indices of its
-three words.  The blank cells form one ascending list of flat indices,
-which each sweep rebuilds from the cells it leaves blank.  A search frame
+of one cell list, and the 3m unit words share one list, built from the
+pass of grid.unit_scan, whose unit_table maps k to its three words' indices.
+The blank cells form one ascending list of flat indices, which each sweep
+rebuilds from the cells it leaves blank.  A search frame
 saves its words and open list (less its branch cell), never its cells; the
 deepest frame with values left restores them after a dead end or a
 solution, so propagation must replace the open list, never mutate it.
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .grid import Grid, cell_index, first_conflict, unit_table
+from .grid import Grid, cell_index, unit_scan, unit_table
 from .smallset import SmallSet, _Record
 
 
@@ -132,27 +131,16 @@ def init_state(g: Grid) -> SolverState:
 
     Raises ConflictError naming the first unit that repeats a value.
     """
-    m = g.side
-    units = unit_table(g.order)
     cells = [v for row in g.cells for v in row]
-    words = [(1 << m) - 1] * (3 * m)
-    blank = []
-    for k, v in enumerate(cells):
-        if v == 0:
-            blank.append(k)
-            continue
-        bit = 1 << (v - 1)
-        a, b, c = units[k]
-        if not words[a] & words[b] & words[c] & bit:
-            kind, index, value = first_conflict(g)
-            raise ConflictError(
-                f"{kind} {index} contains {value} more than once")
-        # AND with the complement, never XOR: a toggle would put back a
-        # value that is already absent.
-        words[a] &= ~bit
-        words[b] &= ~bit
-        words[c] &= ~bit
-    return SolverState(g.order, cells, words, blank)
+    held, conflict = unit_scan(g.order, cells)
+    if conflict:
+        kind, index, value = conflict
+        raise ConflictError(f"{kind} {index} contains {value} more than once")
+    # AND with the complement, never XOR: a toggle would put back a
+    # value that is already absent.
+    words = [((1 << g.side) - 1) & ~w for w in held]
+    return SolverState(g.order, cells, words,
+                       [k for k, v in enumerate(cells) if not v])
 
 
 def candidates(state: SolverState, i: int, j: int) -> SmallSet:

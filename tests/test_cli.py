@@ -188,6 +188,25 @@ def test_closed_stdin_is_an_input_error(command):
     assert proc.stderr.count(b"\n") == 1
 
 
+# With fd 1 closed sys.stdout is None, and on /dev/full every write fails:
+# either way the output is lost, which is one error line and exit 2, not a
+# traceback and exit 1, which count would otherwise read as "no solutions".
+@pytest.mark.parametrize("redirect", [">&-", ">/dev/full"])
+@pytest.mark.parametrize("command", [["solve", "-"], ["count", "-"],
+                                     ["sieve", "10"]])
+def test_unwritable_stdout_is_an_output_error(command, redirect):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        ["sh", "-c", f'"$0" -m bitsudoku "$@" {redirect}', sys.executable,
+         *command], input=EMPTY_4.encode(), capture_output=True, env=env,
+        timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ")
+    assert proc.stderr.count(b"\n") == 1
+
+
 def test_classic_output_format(puzzle_file, capsys):
     code = main(["solve", "--format", "classic", puzzle_file(CLASSIC_81)])
     out = capsys.readouterr().out

@@ -14,7 +14,7 @@ from bitsudoku.grid import (
     render,
     unit_table,
 )
-from bitsudoku.solver import init_state
+from bitsudoku.solver import ConflictError, init_state
 from oracles import ref_first_conflict, ref_units, shuffled_valid_grid
 
 COMPLETE_4 = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
@@ -193,6 +193,18 @@ def test_unit_checks_match_naive_unit_scan():
             verdict = all(sorted(values) == perm
                           for _, _, values in ref_units(n, cells))
             assert is_sudoku_matrix(g) == verdict
+        if want:
+            message = "^%s %d contains %d more than once$" % want
+            with pytest.raises(ConflictError, match=message):
+                init_state(g)
+        else:
+            # Each word is the full set less the values the unit holds, and
+            # open lists the blanks row-major.
+            full = range(1, n * n + 1)
+            st = init_state(g)
+            assert st.words == [sum(1 << (d - 1) for d in full if d not in vs)
+                                for _, _, vs in ref_units(n, cells)]
+            assert st.open == [(i - 1) * n * n + j - 1 for i, j in blanks]
         firsts.add(want and want[0])
         verdicts.add(verdict)
     assert firsts == {None, "row", "column", "block"}
