@@ -3,9 +3,9 @@
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 for a solution,
 a valid grid or a finished sieve; 1 for none or an invalid grid; 2 for parse
 and usage errors, unreadable or non-UTF-8 input (a closed stdin included),
-a sieve bound too large to allocate, and a stdout that is closed or cannot
-be written; 141 (128 + SIGPIPE) when the reader closes stdout early, as
-`sieve N | head` does.
+a sieve bound above sys.maxsize, and a stdout that is closed or cannot be
+written, --help's included; 141 (128 + SIGPIPE) when the reader closes
+stdout early, as `sieve N | head` does.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def run(args: argparse.Namespace) -> int:
     if args.subcommand == "sieve":
         try:
             for primes in prime_segments(args.bound):
-                sys.stdout.write("".join(f"{p}\n" for p in primes))
+                sys.stdout.write("%d\n" * len(primes) % tuple(primes))
         except (OverflowError, MemoryError):
             print(f"error: N={args.bound} is too large to sieve",
                   file=sys.stderr)
@@ -99,8 +99,18 @@ def run(args: argparse.Namespace) -> int:
     return 0 if report.solution_count > 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own print_help drops an OSError from its write, so
+        # --help into a full stdout would exit 0 with the text lost; a
+        # write and flush here let main report it as any lost output.
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bitsudoku",
         description="Solve, count, and check n^2 x n^2 Sudoku puzzles; "
                     "list primes with a bit-array sieve.")
@@ -130,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "limit", None) is not None and args.limit < 1:
-        parser.error("--limit must be >= 1")
     if sys.stdout is None:              # started with fd 1 closed
         print("error: stdout is closed", file=sys.stderr)
         return 2
+    parser = build_parser()
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "limit", None) is not None and args.limit < 1:
+            parser.error("--limit must be >= 1")
         code = run(args)
         sys.stdout.flush()
     except OSError as exc:

@@ -128,13 +128,16 @@ def unit_scan(order: int, cells: list[int]
     m = order * order
     seen = [0] * (3 * m)
     repeat = [0] * (3 * m)      # per unit, the first value seen twice
-    for v, units in zip(cells, unit_table(order)):
+    for v, (a, b, c) in zip(cells, unit_table(order)):
         if v:
             bit = 1 << (v - 1)
-            for u in units:
-                if seen[u] & bit:
-                    repeat[u] = repeat[u] or v
-                seen[u] |= bit
+            if (seen[a] | seen[b] | seen[c]) & bit:
+                for u in a, b, c:
+                    if seen[u] & bit:
+                        repeat[u] = repeat[u] or v
+            seen[a] |= bit
+            seen[b] |= bit
+            seen[c] |= bit
     for u, v in enumerate(repeat):
         if v:
             return seen, (("row", "column", "block")[u // m], u % m + 1, v)

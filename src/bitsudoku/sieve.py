@@ -1,17 +1,22 @@
 """Prime generation by striking composites in packed bits.
 
-`prime_segments` keeps only the odd numbers, as the bits of one Python int:
-bit i stands for 2i + 1.  Each odd prime p strikes all of its odd
-multiples from p*p on with one OR of a periodic tile (bits 0, p, 2p, ...),
-built by doubling in O(log(n/p)) word-parallel operations.  The survivors
-are read back and yielded in fixed segments, each turned into a string of
-flag bytes that `itertools.compress` filters at C speed; `primes_up_to`
-joins them into one list.  `BitArray` is a general packed bit array in
-machine words, with checked per-bit access.
+`prime_segments` keeps only the odd numbers, bit i standing for 2i + 1,
+and works through them in segments of `_SEGMENT_BITS` bits, so that no
+value is as wide as the bound: memory is O(sqrt(n)), the primes up to
+isqrt(n) that strike plus one segment.  In each segment, every odd prime
+below `_TILE_BELOW` strikes its odd multiples (from p*p on) with one OR of
+a periodic tile (bits 0, p, 2p, ...), built once by doubling and shifted
+to the segment's phase.  The segment's bits are then read back as a string
+of flag bytes, where each larger prime strikes its few multiples by one
+extended-slice assignment, and `itertools.compress` filters the flags at C
+speed.  `primes_up_to` joins the segments into one list.  A bound above
+sys.maxsize raises OverflowError before any work.  `BitArray` is a
+general packed bit array in machine words, with checked per-bit access.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from itertools import chain, compress
 from math import isqrt
@@ -54,42 +59,63 @@ class BitArray:
         return sum(w.bit_count() for w in self.words)
 
 
-# Bits read back per extraction step: keeps the temporary strings small.
+# Odd-number bits struck, read back and yielded per step: keeps every
+# temporary of a segment small, whatever the bound.
 _SEGMENT_BITS = 1 << 15
+# Primes below this strike with a packed tile; the rest strike through the
+# flag bytes, where a tile would cost a segment's width for few multiples.
+_TILE_BELOW = 32
 # Reversed binary digits to flags: an unstruck bit ('0') marks a prime.
 _PRIME_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes p <= n, ascending.  1 is not a prime and never appears."""
+    """All primes p <= n, ascending.  1 is not a prime and never appears.
+    A bound above sys.maxsize raises OverflowError before any work."""
     return list(chain.from_iterable(prime_segments(n)))
 
 
 def prime_segments(n: int) -> Iterator[list[int]]:
-    """The primes p <= n: [2], then one list per segment, ascending.  All
-    the striking comes first, so a too-large bound raises before any list."""
+    """The primes p <= n: [2], then one list per segment, ascending.  The
+    bound check and the primes up to isqrt(n) come first, so a bound too
+    large to sieve raises before any list."""
+    if n > sys.maxsize:
+        raise OverflowError(f"bound {n} is above sys.maxsize")
     if n < 2:
         return
     length = (n + 1) // 2  # the odd numbers 1, 3, ..., <= n
-    # The top bit (past the last number) gives `struck` its full width at
-    # once, so a bound too large to allocate fails here, before recursing.
-    struck = (1 << length) | 1
-    for p in primes_up_to(isqrt(n))[1:]:
-        start = p * p // 2
-        span = length - start
-        tile, width = 1, p
-        while width < span:
-            tile |= tile << width
-            width <<= 1
-        struck |= (tile & ((1 << span) - 1)) << start
-    data = struck.to_bytes(length // 8 + 1, "little")
-    del struck
+    odd = primes_up_to(isqrt(n))[1:]
+    tiled = [(p, _tile(p)) for p in odd if p < _TILE_BELOW]
+    sliced = [p for p in odd if p >= _TILE_BELOW]
     yield [2]
     for lo in range(0, length, _SEGMENT_BITS):
-        chunk = data[lo // 8:(lo + _SEGMENT_BITS) // 8]
-        # A sentinel bit above the chunk fixes the digit count; [:0:-1]
-        # drops it and puts bit 0 first.  compress stops at the end of the
-        # chunk or at n, whichever comes first.
-        bits = int.from_bytes(chunk, "little") | 1 << 8 * len(chunk)
-        flags = format(bits, "b")[:0:-1].encode().translate(_PRIME_FLAGS)
-        yield list(compress(range(2 * lo + 1, n + 1, 2), flags))
+        hi = min(lo + _SEGMENT_BITS, length)
+        width = hi - lo
+        struck = 1 if lo == 0 else 0  # bit 0 is the number 1
+        for p, tile in tiled:
+            struck |= tile << _first_multiple(p, lo) - lo
+        # A sentinel bit above the segment fixes the digit count; [:0:-1]
+        # drops it and puts bit 0 first.
+        bits = struck & (1 << width) - 1 | 1 << width
+        flags = bytearray(format(bits, "b")[:0:-1], "ascii")
+        flags = flags.translate(_PRIME_FLAGS)
+        for p in sliced:
+            if p * p // 2 >= hi:
+                break
+            first = _first_multiple(p, lo) - lo
+            flags[first::p] = bytes(len(range(first, width, p)))
+        yield list(compress(range(2 * lo + 1, 2 * hi, 2), flags))
+
+
+def _tile(p: int) -> int:
+    """Bits 0, p, 2p, ... below _SEGMENT_BITS, by doubling."""
+    tile, width = 1, p
+    while width < _SEGMENT_BITS:
+        tile |= tile << width
+        width <<= 1
+    return tile & (1 << _SEGMENT_BITS) - 1
+
+
+def _first_multiple(p: int, lo: int) -> int:
+    """The first bit >= lo that p strikes: an odd multiple of p, p*p on."""
+    return max(p * p // 2, lo + (p // 2 - lo) % p)

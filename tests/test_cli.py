@@ -207,6 +207,21 @@ def test_unwritable_stdout_is_an_output_error(command, redirect):
     assert proc.stderr.count(b"\n") == 1
 
 
+# argparse writes --help itself and drops an error from that write: the
+# lost text must still exit 2, whether the write or the flush fails.
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [["--help"], ["sieve", "--help"]])
+def test_help_into_a_full_stdout_is_an_output_error(argv, unbuffered):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m bitsudoku "$@" >/dev/full', sys.executable,
+         *argv], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: cannot write to stdout: ")
+    assert proc.stderr.count(b"\n") == 1
+
+
 def test_classic_output_format(puzzle_file, capsys):
     code = main(["solve", "--format", "classic", puzzle_file(CLASSIC_81)])
     out = capsys.readouterr().out
@@ -264,12 +279,14 @@ def test_sieve_lists_primes(capsys):
     assert code == 0
 
 
-# Each extraction segment is one stdout write: odd-number bits 2**15 and
-# 2**16 (65537, 131073) start new segments, so 65536 and 131072 end one.
+# Each segment is one stdout write: odd-number bits 2**15 and 2**16
+# (65537, 131073) start new segments, so 65536 and 131072 end one.
 # pi(N) = 4095, 4096 and 4097 at 38872, 38873 and 38891; 0, 1 and 2 print
-# no line or one.
+# no line or one.  31 strikes with a tile and 37 through the flag bytes
+# (sieve._TILE_BELOW = 32): each starts at its square.
 @pytest.mark.parametrize("bound", [0, 1, 2, 38872, 38873, 38891,
-                                   65536, 65537, 131072, 131073])
+                                   65536, 65537, 131072, 131073,
+                                   960, 961, 962, 1368, 1369, 1370])
 def test_sieve_output_matches_trial_division(bound, capsys):
     code = main(["sieve", str(bound)])
     assert code == 0
@@ -298,16 +315,30 @@ class _Discard:
         pass
 
 
-# The primes up to 10**6 alone take about 2.8 MB as a list of ints; each
-# segment is written before the next is read, so none of them is kept.
-def test_sieve_holds_no_prime_list(monkeypatch):
+def _sieve_peak(bound, monkeypatch):
+    """The exit code and tracemalloc peak of `sieve bound` into a stdout
+    that keeps nothing."""
     monkeypatch.setattr("sys.stdout", _Discard())
     tracemalloc.start()
     try:
-        code = main(["sieve", "1000000"])
-        _, peak = tracemalloc.get_traced_memory()
+        code = main(["sieve", bound])
+        return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# The primes up to 10**6 alone take about 2.8 MB as a list of ints; each
+# segment is written before the next is read, so none of them is kept.
+def test_sieve_holds_no_prime_list(monkeypatch):
+    code, peak = _sieve_peak("1000000", monkeypatch)
+    assert code == 0
+    assert peak < 1.5e6, peak
+
+
+# Memory is one segment plus the primes up to sqrt(N), whatever N, so
+# 10**7 stays under the same 1.5 MB as 10**6.
+def test_sieve_memory_does_not_grow_with_the_bound(monkeypatch):
+    code, peak = _sieve_peak("10000000", monkeypatch)
     assert code == 0
     assert peak < 1.5e6, peak
 
@@ -318,9 +349,8 @@ def test_sieve_one_yields_nothing(capsys):
     assert code == 0
 
 
-# Neither bound allocates anything: at 10**21 the shift count of the
-# full-width int overflows, and 10**19 asks for about 6.25e17 bytes, more
-# than a 64-bit address space holds.
+# Neither bound is sieved: both are above sys.maxsize (2**63 - 1), the
+# stated limit, so each fails before any work and before any output.
 @pytest.mark.parametrize("bound", ["1000000000000000000000",
                                    "10000000000000000000"])
 def test_sieve_bound_too_large_to_allocate_exits_2(bound, capsys):
