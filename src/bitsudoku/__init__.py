@@ -4,8 +4,7 @@ from .grid import (
     Grid,
     IncompleteGridError,
     PuzzleFormatError,
-    block_of,
-    is_consistent_partial,
+    first_conflict,
     is_sudoku_matrix,
     parse,
     render,
@@ -52,10 +51,9 @@ __all__ = [
     "WORD_WIDTH",
     "assign",
     "bit_value",
-    "block_of",
     "candidates",
+    "first_conflict",
     "init_state",
-    "is_consistent_partial",
     "is_sudoku_matrix",
     "parse",
     "power2",

@@ -32,10 +32,16 @@ def _read_text(path: str) -> str:
 
 
 def _ascii_int(text: str) -> int:
-    """A number in ASCII digits only, as parse() reads a clue: no sign."""
+    """A number in ASCII digits only, as parse() reads a clue: no sign.
+    Leading zeros do not count toward int()'s digit limit."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"invalid number {text!r}")
-    return int(text)
+    digits = text.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:          # past int()'s digit limit
+        raise argparse.ArgumentTypeError(
+            f"invalid number of {len(digits)} digits") from None
 
 
 def _count_field(report: SolveReport) -> str:

@@ -40,12 +40,6 @@ def cell_index(i: int, j: int, side: int) -> int:
     return (i - 1) * side + j - 1
 
 
-def block_of(i: int, j: int, n: int) -> tuple[int, int]:
-    """Block coordinates (k, l) of cell (i, j) on an order-n board."""
-    cell_index(i, j, n * n)
-    return (i - 1) // n + 1, (j - 1) // n + 1
-
-
 class Grid(_Record):
     """Cell storage for one board; `cells[r][c]` is 0-based raw access.
 
@@ -111,11 +105,6 @@ def is_sudoku_matrix(g: Grid) -> bool:
         if 0 in row:
             raise IncompleteGridError(
                 f"blank cell at ({i}, {row.index(0) + 1})")
-    return first_conflict(g) is None
-
-
-def is_consistent_partial(g: Grid) -> bool:
-    """Whether no row, column, or block repeats a nonzero value."""
     return first_conflict(g) is None
 
 
@@ -201,7 +190,15 @@ def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
             if not (token.isascii() and token.isdigit()):
                 raise PuzzleFormatError(
                     f"malformed value {token!r}", lineno, col)
-            v = int(token)
+            try:
+                v = int(token)
+            except ValueError:  # past int()'s digit limit; zeros don't count
+                digits = token.lstrip("0")
+                if len(digits) > 2:     # at least 100, above any side
+                    raise PuzzleFormatError(
+                        f"value of {len(digits)} digits outside [0, {m}]",
+                        lineno, col) from None
+                v = int(digits or "0")
             if not 0 <= v <= m:
                 raise PuzzleFormatError(
                     f"value {v} outside [0, {m}]", lineno, col)

@@ -8,6 +8,13 @@ and trial-division primality.
 
 import random
 
+# Widely published order-3 puzzle of ordinary difficulty, in classic form.
+CLASSIC_81 = ("530070000600195000098000060800060003400803001"
+              "700020006060000280000419005000080079")
+# A complete 4x4 board whose rows and columns are permutations but whose
+# blocks repeat values.
+INVALID_4 = "2\n1 2 3 4\n2 1 4 3\n3 4 1 2\n4 3 2 1\n"
+
 
 # ---------------------------------------------------------------------------
 # List-based set algebra (reference for the bitset type)

@@ -20,6 +20,7 @@ from bitsudoku.solver import Event, init_state, propagate, solve
 from bitsudoku.sieve import primes_up_to
 
 from oracles import (
+    CLASSIC_81,
     brute_force_count,
     delete_cells,
     members_of_word,
@@ -36,9 +37,6 @@ from oracles import (
 EMPTY_4 = "2\n" + "0 0 0 0\n" * 4
 COMPLETE_4 = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
 WITNESS_4 = "2\n0 2 3 4\n1 0 0 0\n0 0 0 0\n0 0 0 0\n"
-# Widely published order-3 puzzle of ordinary difficulty.
-CLASSIC_81 = ("530070000600195000098000060800060003400803001"
-              "700020006060000280000419005000080079")
 
 SHIDOKU_SOLUTIONS = 288       # brute_force_count(2, empty board)
 PRIME_COUNT_1E6 = 78498       # len(primes_by_trial_division(10**6))

@@ -12,14 +12,12 @@ from bitsudoku import cli
 from bitsudoku.cli import main
 from bitsudoku.grid import is_sudoku_matrix, parse
 
-from oracles import clues, primes_by_trial_division, shuffled_valid_grid
+from oracles import (CLASSIC_81, INVALID_4, clues, primes_by_trial_division,
+                     shuffled_valid_grid)
 
 EMPTY_4 = "2\n" + "0 0 0 0\n" * 4
 COMPLETE_4 = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
 WITNESS_4 = "2\n0 2 3 4\n1 0 0 0\n0 0 0 0\n0 0 0 0\n"
-INVALID_4 = "2\n1 2 3 4\n2 1 4 3\n3 4 1 2\n4 3 2 1\n"
-CLASSIC_81 = ("530070000600195000098000060800060003400803001"
-              "700020006060000280000419005000080079")
 
 
 @pytest.fixture
@@ -379,6 +377,41 @@ def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
+
+
+# int() refuses a string of more than 4300 digits; leading zeros do not
+# count, and a longer number is one error line and exit 2, not a traceback
+# and exit 1, which count would read as "no solutions".
+def test_over_long_value_in_a_puzzle_exits_2(puzzle_file, capsys):
+    text = "2\n1 2 3 4\n3 1" + "0" * 5000 + " 1 2\n2 1 4 3\n4 3 2 1\n"
+    code = main(["count", puzzle_file(text)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: value of 5001 digits outside [0, 4] "
+                            "(line 3, column 2)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "1" * 5000],
+    ["count", "--limit", "1" * 5000, "x"],
+    ["solve", "--cap", "0" * 9 + "1" * 5000, "x"],
+])
+def test_over_long_numbers_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "invalid number of 5000 digits" in capsys.readouterr().err
+
+
+def test_zero_padded_numbers_keep_their_value(puzzle_file, capsys):
+    pad = "0" * 5000
+    code = main(["count", "--limit", pad + "9",
+                 puzzle_file(EMPTY_4.replace("0", pad))])
+    assert capsys.readouterr().out == "solutions=9+\n"
+    assert code == 0
+    assert main(["sieve", pad + "7"]) == 0
+    assert capsys.readouterr().out == "2\n3\n5\n7\n"
 
 
 def test_count_retains_no_boards_whatever_the_cap(puzzle_file, monkeypatch,

@@ -6,78 +6,73 @@ from bitsudoku.grid import (
     Grid,
     IncompleteGridError,
     PuzzleFormatError,
-    block_of,
     first_conflict,
-    is_consistent_partial,
     is_sudoku_matrix,
     parse,
     render,
     unit_table,
 )
 from bitsudoku.solver import ConflictError, init_state
-from oracles import ref_first_conflict, ref_units, shuffled_valid_grid
+from oracles import (CLASSIC_81, ref_first_conflict, ref_units,
+                     shuffled_valid_grid)
 
 COMPLETE_4 = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 BAD_BLOCKS_4 = [[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]]
 
-CLASSIC_81 = ("530070000600195000098000060800060003400803001"
-              "700020006060000280000419005000080079")
-
 
 # -- block geometry ----------------------------------------------------------
 
-def test_block_of_examples():
-    assert block_of(4, 7, 3) == (2, 3)
-    assert block_of(1, 1, 3) == (1, 1)
-    assert block_of(9, 9, 3) == (3, 3)
+def block_coordinates(n):
+    """Each 1-based cell (i, j) -> its 1-based block (k, l), read from the
+    block index 2m + (k-1)·n + (l-1) that unit_table gives the cell."""
+    m = n * n
+    blocks = {}
+    for x, (_, _, b) in enumerate(unit_table(n)):
+        k, l = divmod(b - 2 * m, n)
+        blocks[x // m + 1, x % m + 1] = (k + 1, l + 1)
+    return blocks
 
 
-@pytest.mark.parametrize("i,j", [(0, 1), (1, 0), (10, 1), (1, 10)])
-def test_block_of_out_of_range(i, j):
-    with pytest.raises(IndexError):
-        block_of(i, j, 3)
+def test_unit_table_block_examples():
+    blocks = block_coordinates(3)
+    assert blocks[4, 7] == (2, 3)
+    assert blocks[1, 1] == (1, 1)
+    assert blocks[9, 9] == (3, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_block_of_satisfies_defining_inequalities(n):
+def test_unit_table_satisfies_defining_inequalities(n):
     m = n * n
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            k, l = block_of(i, j, n)
-            assert (k - 1) * n < i <= k * n
-            assert (l - 1) * n < j <= l * n
+    table = unit_table(n)
+    assert len(table) == m * m
+    for (i, j), (k, l) in block_coordinates(n).items():
+        assert table[(i - 1) * m + j - 1][:2] == (i - 1, m + j - 1)
+        assert (k - 1) * n < i <= k * n
+        assert (l - 1) * n < j <= l * n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_blocks_partition_the_board(n):
     m = n * n
     buckets = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            buckets.setdefault(block_of(i, j, n), []).append((i, j))
+    for cell, block in block_coordinates(n).items():
+        buckets.setdefault(block, []).append(cell)
     assert len(buckets) == m
     assert all(len(cells) == m for cells in buckets.values())
-    assert sum(len(cells) for cells in buckets.values()) == m * m
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_unit_table_matches_block_of_and_solver_layout(n):
+def test_unit_table_matches_solver_layout(n):
     m = n * n
-    table = unit_table(n)
-    assert len(table) == m * m
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            k, l = block_of(i, j, n)
-            assert table[(i - 1) * m + j - 1] == (
-                i - 1, m + j - 1, 2 * m + (k - 1) * n + l - 1)
-            # A lone clue leaves its value missing from every block but its
-            # own, read through the solver's block_missing[k-1][l-1] view.
-            cells = [[0] * m for _ in range(m)]
-            cells[i - 1][j - 1] = 1
-            missing = init_state(Grid(n, cells)).block_missing
-            assert [[1 not in s for s in row] for row in missing] == [
-                [(bk, bl) == (k, l) for bl in range(1, n + 1)]
-                for bk in range(1, n + 1)]
+    for (i, j), (k, l) in block_coordinates(n).items():
+        # A lone clue leaves its value missing from every block but its
+        # own, read through the solver's block_missing[k-1][l-1] view.
+        cells = [[0] * m for _ in range(m)]
+        cells[i - 1][j - 1] = 1
+        missing = init_state(Grid(n, cells)).block_missing
+        assert [[1 not in s for s in row] for row in missing] == [
+            [(bk, bl) == (k, l) for bl in range(1, n + 1)]
+            for bk in range(1, n + 1)]
 
 
 # -- Grid basics -------------------------------------------------------------
@@ -133,22 +128,20 @@ def test_is_sudoku_matrix_requires_complete_grid():
         is_sudoku_matrix(Grid(2, cells))
 
 
-def test_is_consistent_partial():
-    assert is_consistent_partial(Grid(2, [[0] * 4 for _ in range(4)]))
-    assert is_consistent_partial(Grid(2, COMPLETE_4))
+def test_first_conflict_on_partial_boards():
+    assert first_conflict(Grid(2, [[0] * 4 for _ in range(4)])) is None
+    assert first_conflict(Grid(2, COMPLETE_4)) is None
 
     cells = [[0] * 9 for _ in range(9)]
     cells[0][2] = 5
     cells[4][2] = 5
-    g = Grid(3, cells)
-    assert not is_consistent_partial(g)
-    assert first_conflict(g) == ("column", 3, 5)
+    assert first_conflict(Grid(3, cells)) == ("column", 3, 5)
 
 
 def test_sudoku_matrix_implies_consistent():
-    assert is_consistent_partial(Grid(2, COMPLETE_4))
+    assert first_conflict(Grid(2, COMPLETE_4)) is None
     assert not is_sudoku_matrix(Grid(2, BAD_BLOCKS_4))
-    assert not is_consistent_partial(Grid(2, BAD_BLOCKS_4))
+    assert first_conflict(Grid(2, BAD_BLOCKS_4)) is not None
 
 
 def _unit_check_corpus():
@@ -180,7 +173,6 @@ def test_unit_checks_match_naive_unit_scan():
         g = Grid(n, cells)
         want = ref_first_conflict(n, cells)
         assert first_conflict(g) == want
-        assert is_consistent_partial(g) == (want is None)
         blanks = [(i + 1, j + 1) for i, row in enumerate(cells)
                   for j, v in enumerate(row) if v == 0]
         if blanks:
@@ -274,6 +266,20 @@ def test_parse_reports_line_and_column():
 def test_parse_rejects_malformed_documents(text):
     with pytest.raises(PuzzleFormatError):
         parse(text)
+
+
+# int() refuses a string of more than 4300 digits.  A value is judged by
+# its digits after the leading zeros, and a long one is named by its length.
+def test_parse_judges_over_long_values_by_their_digits():
+    pad = "0" * 5000
+    doc = parse(f"2\n{pad}1 2 3 4\n3 4 1 {pad}\n2 1 4 3\n4 3 2 1\n")
+    assert doc.cells == [[1, 2, 3, 4], [3, 4, 1, 0],
+                         [2, 1, 4, 3], [4, 3, 2, 1]]
+    with pytest.raises(PuzzleFormatError) as err:
+        parse(f"2\n1 2 3 4\n3 {pad}1{pad} 1 2\n2 1 4 3\n4 3 2 1\n")
+    assert (err.value.line, err.value.column) == (3, 2)
+    assert str(err.value) == ("value of 5001 digits outside [0, 4] "
+                              "(line 3, column 2)")
 
 
 def test_parse_classic_rejects_foreign_characters():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from bitsudoku.grid import Grid, block_of, is_sudoku_matrix
+from bitsudoku.grid import Grid, is_sudoku_matrix
 from bitsudoku.smallset import SmallSet
 from bitsudoku.solver import (
     FEWEST_CANDIDATES,
@@ -146,11 +146,11 @@ def test_cells_off_the_board_raise_one_index_error(i, j):
     st = init_state(grid4())
     messages = []
     for call in (lambda: candidates(st, i, j), lambda: assign(st, i, j, 1),
-                 lambda: grid4().value(i, j), lambda: block_of(i, j, 2)):
+                 lambda: grid4().value(i, j)):
         with pytest.raises(IndexError) as exc:
             call()
         messages.append(str(exc.value))
-    assert messages == [f"cell ({i}, {j}) outside 1..4"] * 4
+    assert messages == [f"cell ({i}, {j}) outside 1..4"] * 3
     assert st == init_state(grid4())
 
 
