@@ -9,6 +9,7 @@ array is ordinary 0-based storage.  Cell (i, j) lies in block (k, l) with
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 
 from .smallset import _Record
 
@@ -56,10 +57,11 @@ class Grid(_Record):
         m = order * order
         if len(cells) != m or any(len(row) != m for row in cells):
             raise ValueError(f"cell array is not {m}x{m}")
+        allowed = _text_tables(order)[0]
         for row in cells:
-            for v in row:
-                if not 0 <= v <= m:
-                    raise ValueError(f"cell value {v} outside [0, {m}]")
+            if not allowed.issuperset(row):
+                v = next(v for v in row if v not in allowed)
+                raise ValueError(f"cell value {v!r} outside [0, {m}]")
         self.order = order
         # own the storage; callers keep their lists
         self.cells = [list(row) for row in cells]
@@ -75,8 +77,8 @@ class Grid(_Record):
 
     def set_value(self, i: int, j: int, v: int) -> None:
         cell_index(i, j, self.side)
-        if not 0 <= v <= self.side:
-            raise ValueError(f"cell value {v} outside [0, {self.side}]")
+        if v not in _text_tables(self.order)[0]:
+            raise ValueError(f"cell value {v!r} outside [0, {self.side}]")
         self.cells[i - 1][j - 1] = v
 
     def copy(self) -> "Grid":
@@ -84,6 +86,15 @@ class Grid(_Record):
         return Grid(self.order, self.cells)
 
     to_grid = copy
+
+
+@cache
+def _text_tables(order: int) -> tuple[frozenset[int], dict[str, int], str]:
+    """The cell values 0..n², each canonical token "0".."n²" to its value,
+    and the %-format of a generic rendering: order line, then n² rows."""
+    m = order * order
+    return (frozenset(range(m + 1)), {str(v): v for v in range(m + 1)},
+            f"{order}\n" + ("%d " * (m - 1) + "%d\n") * m)
 
 
 @cache
@@ -180,31 +191,38 @@ def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
             f"expected {m} rows, found {len(body)}", body[m][0])
 
     cells = []
+    values = _text_tables(order)[1]
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != m:
             raise PuzzleFormatError(
                 f"expected {m} values per row, found {len(tokens)}", lineno)
-        row = []
-        for col, token in enumerate(tokens, start=1):
-            if not (token.isascii() and token.isdigit()):
-                raise PuzzleFormatError(
-                    f"malformed value {token!r}", lineno, col)
-            try:
-                v = int(token)
-            except ValueError:  # past int()'s digit limit; zeros don't count
-                digits = token.lstrip("0")
-                if len(digits) > 2:     # at least 100, above any side
-                    raise PuzzleFormatError(
-                        f"value of {len(digits)} digits outside [0, {m}]",
-                        lineno, col) from None
-                v = int(digits or "0")
-            if not 0 <= v <= m:
-                raise PuzzleFormatError(
-                    f"value {v} outside [0, {m}]", lineno, col)
-            row.append(v)
+        # One lookup converts and range-checks a canonical token; a row
+        # holding any other token is judged token by token.
+        row = list(map(values.get, tokens))
+        if None in row:
+            row = [_value(token, m, lineno, col)
+                   for col, token in enumerate(tokens, start=1)]
         cells.append(row)
     return Grid(order, cells)
+
+
+def _value(token: str, m: int, lineno: int, col: int) -> int:
+    """The value of one generic token, or the PuzzleFormatError naming it."""
+    if not (token.isascii() and token.isdigit()):
+        raise PuzzleFormatError(f"malformed value {token!r}", lineno, col)
+    try:
+        v = int(token)
+    except ValueError:  # past int()'s digit limit; zeros don't count
+        digits = token.lstrip("0")
+        if len(digits) > 2:     # at least 100, above any side
+            raise PuzzleFormatError(
+                f"value of {len(digits)} digits outside [0, {m}]",
+                lineno, col) from None
+        v = int(digits or "0")
+    if not 0 <= v <= m:
+        raise PuzzleFormatError(f"value {v} outside [0, {m}]", lineno, col)
+    return v
 
 
 def _parse_classic(significant: list[tuple[int, str]]) -> Grid:
@@ -229,17 +247,16 @@ def _parse_classic(significant: list[tuple[int, str]]) -> Grid:
 
 
 def render(board: Grid, fmt: str = "generic") -> str:
-    """Serialize a board; blanks come out as 0.
+    """Serialize a board, each value with %d; blanks come out as 0.
 
     "generic" works for any order; "classic" is the 81-character single
     line and is only defined for order 3.
     """
     if fmt == "generic":
-        lines = [str(board.order)]
-        lines.extend(" ".join(str(v) for v in row) for row in board.cells)
-        return "\n".join(lines) + "\n"
+        return (_text_tables(board.order)[2]
+                % tuple(chain.from_iterable(board.cells)))
     if fmt == "classic":
         if board.order != 3:
             raise ValueError("classic format requires an order-3 board")
-        return "".join(str(v) for row in board.cells for v in row) + "\n"
+        return ("%d" * 81 + "\n") % tuple(chain.from_iterable(board.cells))
     raise ValueError(f"unknown format {fmt!r}")

@@ -7,6 +7,7 @@ and trial-division primality.
 """
 
 import random
+import sys
 
 # Widely published order-3 puzzle of ordinary difficulty, in classic form.
 CLASSIC_81 = ("530070000600195000098000060800060003400803001"
@@ -146,6 +147,36 @@ def ref_first_conflict(order: int,
                     return kind, index, v
                 seen.append(v)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Board text read and written one token at a time (reference for grid.py)
+# ---------------------------------------------------------------------------
+
+def ref_render(order: int, cells: list[list[int]]) -> str:
+    """The generic document: the order line, then each row's values joined
+    by single spaces, every line ending in a newline."""
+    lines = [str(order)] + [" ".join(str(v) for v in row) for row in cells]
+    return "".join(line + "\n" for line in lines)
+
+
+def ref_token(token: str, m: int) -> tuple[int | None, str | None]:
+    """One generic-format token on a side-m board, read digit by digit:
+    (value, None) when it is ASCII digits naming 0..m, leading zeros
+    allowed; otherwise (None, the message parse() gives).  A value too long
+    for int() is named by its digits after the leading zeros."""
+    if not token or any(ch not in "0123456789" for ch in token):
+        return None, f"malformed value {token!r}"
+    digits = token.lstrip("0")
+    limit = sys.get_int_max_str_digits()
+    if limit and len(token) > limit and len(digits) > 2:
+        return None, f"value of {len(digits)} digits outside [0, {m}]"
+    v = 0
+    for ch in digits:
+        v = 10 * v + "0123456789".index(ch)
+    if v > m:
+        return None, f"value {v} outside [0, {m}]"
+    return v, None
 
 
 # ---------------------------------------------------------------------------

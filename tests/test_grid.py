@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bitsudoku.grid import (
     Grid,
@@ -13,8 +15,8 @@ from bitsudoku.grid import (
     unit_table,
 )
 from bitsudoku.solver import ConflictError, init_state
-from oracles import (CLASSIC_81, ref_first_conflict, ref_units,
-                     shuffled_valid_grid)
+from oracles import (CLASSIC_81, delete_cells, ref_first_conflict, ref_render,
+                     ref_token, ref_units, shuffled_valid_grid)
 
 COMPLETE_4 = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
 BAD_BLOCKS_4 = [[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2], [4, 3, 2, 1]]
@@ -94,6 +96,22 @@ def test_grid_rejects_bad_shape_and_values():
         Grid(1, [[1]])
     with pytest.raises(ValueError):
         Grid(6, [[0] * 36 for _ in range(36)])
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None])
+def test_grid_rejects_values_that_are_not_0_to_side(bad):
+    # Each names the first value, row-major, that is not one of 0..m.
+    blank = [[0] * 4 for _ in range(4)]
+    cells = [row[:] for row in blank]
+    cells[1][2] = bad
+    cells[3][0] = 7
+    with pytest.raises(ValueError, match=r"^cell value %s outside \[0, 4\]$"
+                       % re.escape(repr(bad))):
+        Grid(2, cells)
+    g = Grid(2, blank)
+    with pytest.raises(ValueError, match="^cell value"):
+        g.set_value(2, 3, bad)
+    assert g.cells == blank
 
 
 def test_grid_index_errors():
@@ -324,3 +342,99 @@ def test_render_classic_requires_order_3():
 def test_render_accepts_grid_objects():
     g = Grid(2, COMPLETE_4)
     assert parse(render(g)).cells == COMPLETE_4
+
+
+def test_render_writes_each_value_as_an_integer():
+    cells = [row[:] for row in COMPLETE_4]
+    cells[0][0] = True
+    cells[1][1] = -0.0
+    g = Grid(2, cells)
+    assert render(g) == "2\n1 2 3 4\n3 0 1 2\n2 1 4 3\n4 3 2 1\n"
+    assert parse(render(g)) == g
+    classic = parse(CLASSIC_81)
+    classic.cells[0][0] = True
+    classic.cells[0][1] = -0.0
+    assert render(classic, "classic") == "10" + CLASSIC_81[2:] + "\n"
+
+
+def test_render_matches_reference_on_seeded_boards():
+    rng = random.Random(20261018)
+    for order in (2, 3, 4, 5):
+        m = order * order
+        for _ in range(10):
+            cells = delete_cells(shuffled_valid_grid(order, rng),
+                                 rng.randrange(m * m + 1), rng)
+            g = Grid(order, cells)
+            text = render(g)
+            assert text == ref_render(order, cells)
+            assert parse(text) == g
+            if order == 3:
+                flat = "".join(str(v) for row in cells for v in row)
+                assert render(g, "classic") == flat + "\n"
+                assert parse(render(g, "classic")) == g
+
+
+# Tokens that are not the canonical "0".."m": some the format accepts, some
+# it rejects, each with its own message.
+ODD_TOKENS = ["007", "0" * 4401 + "3", "+1", "1_0", "\u0663", "26"]
+
+
+def _ref_parse_rows(order, rows):
+    """Cells, or the first (message, line, column), by the per-token
+    reference; the rows start on line 2."""
+    m = order * order
+    cells = []
+    for lineno, row in enumerate(rows, start=2):
+        values = []
+        for col, token in enumerate(row, start=1):
+            v, message = ref_token(token, m)
+            if message:
+                return None, (message, lineno, col)
+            values.append(v)
+        cells.append(values)
+    return cells, None
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_parse_agrees_with_per_token_reference(order):
+    m = order * order
+    canonical = [str(v) for v in range(m + 1)]
+    rng = random.Random(order)
+    outcomes = set()
+    for t in range(60):
+        rows = [rng.choices(canonical, k=m) for _ in range(m)]
+        # A few odd tokens, or (one doc in three) only accepted ones.
+        odd = ODD_TOKENS if t % 3 else ODD_TOKENS[:2]
+        for _ in range(rng.randrange(1, 4)):
+            rows[rng.randrange(m)][rng.randrange(m)] = rng.choice(odd)
+        text = f"{order}\n" + "".join(" ".join(r) + "\n" for r in rows)
+        cells, error = _ref_parse_rows(order, rows)
+        if error:
+            message, line, column = error
+            with pytest.raises(PuzzleFormatError) as err:
+                parse(text)
+            assert str(err.value) == (f"{message} (line {line}, "
+                                      f"column {column})")
+            assert (err.value.line, err.value.column) == (line, column)
+            outcomes.add(message.split()[0])
+        else:
+            assert parse(text) == Grid(order, cells)
+            outcomes.add("accepted")
+    assert outcomes == {"accepted", "malformed", "value"}
+
+
+# Mostly canonical 4x4 rows, so that some documents parse; the free text
+# reaches the classic reader and the shape errors.
+_TOKEN = st.sampled_from("0 1 2 3 4".split() * 6 + "007 5 +1 1_0 - # .".split())
+_ROWS = st.lists(st.lists(_TOKEN, min_size=4, max_size=4).map(" ".join),
+                 min_size=4, max_size=4).map("\n".join)
+
+
+@given(st.sampled_from(["", "2\n", "3\n", "# c\n2\n"]),
+       _ROWS | st.text(alphabet="0123456789 \t\n\r\x0b\x0c#.+-_"))
+def test_parse_returns_a_grid_or_a_format_error(header, body):
+    try:
+        g = parse(header + body)
+    except PuzzleFormatError:
+        return
+    assert parse(render(g)) == g
