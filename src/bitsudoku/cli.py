@@ -6,6 +6,10 @@ and usage errors, unreadable or non-UTF-8 input (a closed stdin included),
 a sieve bound above sys.maxsize, and a stdout that is closed or cannot be
 written, --help's included; 141 (128 + SIGPIPE) when the reader closes
 stdout early, as `sieve N | head` does.
+
+`sieve N` writes the decimal text that `sieve.prime_text` makes, one
+segment of 10**5 numbers per write, so neither a list of the primes nor
+an int per number is made.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 
 from .grid import (IncompleteGridError, PuzzleFormatError, is_sudoku_matrix,
                    parse, render)
-from .sieve import prime_segments
+from .sieve import prime_text
 from .solver import ConflictError, Event, SolveReport, solve
 
 
@@ -57,8 +61,8 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line and return the process exit code."""
     if args.subcommand == "sieve":
         try:
-            for primes in prime_segments(args.bound):
-                sys.stdout.write("%d\n" * len(primes) % tuple(primes))
+            for text in prime_text(args.bound):
+                sys.stdout.write(text)
         except (OverflowError, MemoryError):
             print(f"error: N={args.bound} is too large to sieve",
                   file=sys.stderr)

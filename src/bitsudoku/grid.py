@@ -57,14 +57,27 @@ class Grid(_Record):
         m = order * order
         if len(cells) != m or any(len(row) != m for row in cells):
             raise ValueError(f"cell array is not {m}x{m}")
-        allowed = _text_tables(order)[0]
+        # Own the storage, callers keep their lists, and hold each value as
+        # the int it equals (2.0 as 2, True as 1).
+        exact = _text_tables(order)[0]
+        rows = []
         for row in cells:
-            if not allowed.issuperset(row):
-                v = next(v for v in row if v not in allowed)
+            ints = list(map(exact.get, row))
+            if None in ints:
+                v = next(v for v in row if v not in exact)
                 raise ValueError(f"cell value {v!r} outside [0, {m}]")
+            rows.append(ints)
         self.order = order
-        # own the storage; callers keep their lists
-        self.cells = [list(row) for row in cells]
+        self.cells = rows
+
+    @classmethod
+    def _adopt(cls, order: int, cells: list[list[int]]) -> "Grid":
+        """A Grid that takes `cells` as they are: fresh n²×n² rows of ints
+        in [0, n²], which the caller has checked and no one else holds."""
+        g = cls.__new__(cls)
+        g.order = order
+        g.cells = cells
+        return g
 
     @property
     def side(self) -> int:
@@ -77,23 +90,25 @@ class Grid(_Record):
 
     def set_value(self, i: int, j: int, v: int) -> None:
         cell_index(i, j, self.side)
-        if v not in _text_tables(self.order)[0]:
+        exact = _text_tables(self.order)[0].get(v)
+        if exact is None:
             raise ValueError(f"cell value {v!r} outside [0, {self.side}]")
-        self.cells[i - 1][j - 1] = v
+        self.cells[i - 1][j - 1] = exact
 
     def copy(self) -> "Grid":
-        """An independent copy; the constructor copies every row."""
-        return Grid(self.order, self.cells)
+        """An independent copy, row by row."""
+        return Grid._adopt(self.order, [row[:] for row in self.cells])
 
     to_grid = copy
 
 
 @cache
-def _text_tables(order: int) -> tuple[frozenset[int], dict[str, int], str]:
-    """The cell values 0..n², each canonical token "0".."n²" to its value,
-    and the %-format of a generic rendering: order line, then n² rows."""
+def _text_tables(order: int) -> tuple[dict[int, int], dict[str, int], str]:
+    """Each cell value 0..n² to itself, so a lookup by any equal value
+    gives the int; each canonical token "0".."n²" to its value; and the
+    %-format of a generic rendering: order line, then n² rows."""
     m = order * order
-    return (frozenset(range(m + 1)), {str(v): v for v in range(m + 1)},
+    return ({v: v for v in range(m + 1)}, {str(v): v for v in range(m + 1)},
             f"{order}\n" + ("%d " * (m - 1) + "%d\n") * m)
 
 
@@ -204,7 +219,7 @@ def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
             row = [_value(token, m, lineno, col)
                    for col, token in enumerate(tokens, start=1)]
         cells.append(row)
-    return Grid(order, cells)
+    return Grid._adopt(order, cells)
 
 
 def _value(token: str, m: int, lineno: int, col: int) -> int:
@@ -243,7 +258,7 @@ def _parse_classic(significant: list[tuple[int, str]]) -> Grid:
         raise PuzzleFormatError(
             f"classic puzzle needs 81 cells, found {len(values)}")
     cells = [values[r * 9:(r + 1) * 9] for r in range(9)]
-    return Grid(3, cells)
+    return Grid._adopt(3, cells)
 
 
 def render(board: Grid, fmt: str = "generic") -> str:

@@ -1,24 +1,29 @@
 """Prime generation by striking composites in packed bits.
 
-`prime_segments` keeps only the odd numbers, bit i standing for 2i + 1,
-and works through them in segments of `_SEGMENT_BITS` bits, so that no
-value is as wide as the bound: memory is O(sqrt(n)), the primes up to
-isqrt(n) that strike plus one segment.  In each segment, every odd prime
-below `_TILE_BELOW` strikes its odd multiples (from p*p on) with one OR of
-a periodic tile (bits 0, p, 2p, ...), built once by doubling and shifted
-to the segment's phase.  The segment's bits are then read back as a string
-of flag bytes, where each larger prime strikes its few multiples by one
-extended-slice assignment, and `itertools.compress` filters the flags at C
-speed.  `primes_up_to` joins the segments into one list.  A bound above
-sys.maxsize raises OverflowError before any work.  `BitArray` is a
-general packed bit array in machine words, with checked per-bit access.
+The sieve keeps only the odd numbers, bit i standing for 2i + 1, and works
+through them in segments of `_SEGMENT_BITS` bits, 10**5 numbers each, so
+that no value is as wide as the bound: memory is O(sqrt(n)), the primes up
+to isqrt(n) that strike plus one segment.  In each segment, every odd
+prime below `_TILE_BELOW` strikes its odd multiples (from p*p on) with one
+OR of a periodic tile (bits 0, p, 2p, ...), built once by doubling and
+shifted to the segment's phase.  The segment's bits are then read back as
+a string of flag bytes, where each larger prime strikes its few multiples
+by one extended-slice assignment, and `itertools.compress` filters the
+flags at C speed.  `primes_up_to` filters the odd numbers themselves into
+one list.  `prime_text` makes the decimal text without an int per number:
+a segment is ten blocks of 10**4 numbers, and each block filters one
+shared table of the 4-digit odd suffixes "0001\n" .. "9999\n" and joins
+them with the block number as the prefix.  A bound above sys.maxsize
+raises OverflowError before any work.  `BitArray` is a general packed bit
+array in machine words, with checked per-bit access.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from itertools import chain, compress
+from functools import cache
+from itertools import compress
 from math import isqrt
 
 from .smallset import WORD_WIDTH
@@ -59,9 +64,13 @@ class BitArray:
         return sum(w.bit_count() for w in self.words)
 
 
+# Odd numbers per decimal block of 10**4: block b holds 10**4*b + 1, + 3,
+# ..., + 9999, which are odd-number bits 5000*b to 5000*b + 4999.
+_BLOCK_BITS = 5000
 # Odd-number bits struck, read back and yielded per step: keeps every
-# temporary of a segment small, whatever the bound.
-_SEGMENT_BITS = 1 << 15
+# temporary of a segment small, whatever the bound.  Ten whole blocks, so
+# segment s holds the numbers 10**5*s + 1 to 10**5*(s + 1).
+_SEGMENT_BITS = 10 * _BLOCK_BITS
 # Primes below this strike with a packed tile; the rest strike through the
 # flag bytes, where a tile would cost a segment's width for few multiples.
 _TILE_BELOW = 32
@@ -72,13 +81,46 @@ _PRIME_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 def primes_up_to(n: int) -> list[int]:
     """All primes p <= n, ascending.  1 is not a prime and never appears.
     A bound above sys.maxsize raises OverflowError before any work."""
-    return list(chain.from_iterable(prime_segments(n)))
+    primes = [2] if n >= 2 else []
+    for lo, flags in _odd_segments(n):
+        primes += compress(range(2 * lo + 1, 2 * (lo + len(flags)), 2), flags)
+    return primes
 
 
-def prime_segments(n: int) -> Iterator[list[int]]:
-    """The primes p <= n: [2], then one list per segment, ascending.  The
-    bound check and the primes up to isqrt(n) come first, so a bound too
-    large to sieve raises before any list."""
+def prime_text(n: int) -> Iterator[str]:
+    """The primes p <= n in decimal, one per line: "2\n", then one string
+    per segment.  The bound check and the primes up to isqrt(n) come first,
+    so a bound too large to sieve raises before any text."""
+    for lo, flags in _odd_segments(n):
+        if lo == 0:
+            yield "2\n"
+        suffixes = _suffixes()
+        text = []
+        for c in range(0, len(flags), _BLOCK_BITS):
+            block = (lo + c) // _BLOCK_BITS
+            selected = list(compress(suffixes, flags[c:c + _BLOCK_BITS]))
+            if not selected:    # a join would leave a stray prefix
+                continue
+            if block:
+                prefix = str(block)
+                text += prefix, prefix.join(selected)
+            else:
+                text += [s.lstrip("0") for s in selected]
+        yield "".join(text)
+
+
+@cache
+def _suffixes() -> tuple[str, ...]:
+    """The text of each odd number of a block after its block number:
+    "0001\n", "0003\n", ..., "9999\n", indexed by bit within the block."""
+    return tuple("%04d\n" % i for i in range(1, 2 * _BLOCK_BITS, 2))
+
+
+def _odd_segments(n: int) -> Iterator[tuple[int, bytearray]]:
+    """(lo, flags) per segment of the odd numbers 1, 3, ..., <= n: flags[i]
+    is 1 when odd-number bit lo + i, the number 2(lo + i) + 1, is a prime.
+    The bound check and the primes up to isqrt(n) come before the first
+    segment."""
     if n > sys.maxsize:
         raise OverflowError(f"bound {n} is above sys.maxsize")
     if n < 2:
@@ -87,7 +129,6 @@ def prime_segments(n: int) -> Iterator[list[int]]:
     odd = primes_up_to(isqrt(n))[1:]
     tiled = [(p, _tile(p)) for p in odd if p < _TILE_BELOW]
     sliced = [p for p in odd if p >= _TILE_BELOW]
-    yield [2]
     for lo in range(0, length, _SEGMENT_BITS):
         hi = min(lo + _SEGMENT_BITS, length)
         width = hi - lo
@@ -104,7 +145,7 @@ def prime_segments(n: int) -> Iterator[list[int]]:
                 break
             first = _first_multiple(p, lo) - lo
             flags[first::p] = bytes(len(range(first, width, p)))
-        yield list(compress(range(2 * lo + 1, 2 * hi, 2), flags))
+        yield lo, flags
 
 
 def _tile(p: int) -> int:

@@ -75,8 +75,8 @@ class SolverState(_Record):
     def grid(self) -> Grid:
         """A copy of the board as a Grid."""
         m = self.order * self.order
-        return Grid(self.order,
-                    [self.cells[r * m:(r + 1) * m] for r in range(m)])
+        return Grid._adopt(self.order,
+                           [self.cells[r * m:(r + 1) * m] for r in range(m)])
 
     @property
     def blanks(self) -> list[tuple[int, int]]:

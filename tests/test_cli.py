@@ -4,6 +4,8 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_right
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -277,19 +279,31 @@ def test_sieve_lists_primes(capsys):
     assert code == 0
 
 
-# Each segment is one stdout write: odd-number bits 2**15 and 2**16
-# (65537, 131073) start new segments, so 65536 and 131072 end one.
-# pi(N) = 4095, 4096 and 4097 at 38872, 38873 and 38891; 0, 1 and 2 print
-# no line or one.  31 strikes with a tile and 37 through the flag bytes
-# (sieve._TILE_BELOW = 32): each starts at its square.
+@cache
+def _trial_primes():
+    """One trial-division list, read by prefix for each bound below."""
+    return primes_by_trial_division(200_001)
+
+
+# Each segment is one stdout write: segments are 10**5 numbers wide, so
+# 100001 and 200001 start the second and third, and 100000 and 200000
+# end one.  Each decimal block of 10**4 numbers is its own text: 9999 and
+# 99999 end one, 10001 = 73 * 137 and 100001 = 11 * 9091 end on a block
+# that holds no prime and prints nothing.  pi(N) = 4095, 4096 and 4097 at
+# 38872, 38873 and 38891; 0, 1 and 2 print no line or one.  31 strikes
+# with a tile and 37 through the flag bytes (sieve._TILE_BELOW = 32): each
+# starts at its square.
 @pytest.mark.parametrize("bound", [0, 1, 2, 38872, 38873, 38891,
                                    65536, 65537, 131072, 131073,
-                                   960, 961, 962, 1368, 1369, 1370])
+                                   960, 961, 962, 1368, 1369, 1370,
+                                   9999, 10000, 10001, 99999, 100000, 100001,
+                                   199999, 200000, 200001])
 def test_sieve_output_matches_trial_division(bound, capsys):
     code = main(["sieve", str(bound)])
     assert code == 0
+    primes = _trial_primes()
     assert capsys.readouterr().out == "".join(
-        f"{p}\n" for p in primes_by_trial_division(bound))
+        f"{p}\n" for p in primes[:bisect_right(primes, bound)])
 
 
 def test_sieve_into_a_closed_pipe_exits_141_quietly():

@@ -14,7 +14,7 @@ from bitsudoku.grid import (
     render,
     unit_table,
 )
-from bitsudoku.solver import ConflictError, init_state
+from bitsudoku.solver import ConflictError, init_state, solve
 from oracles import (CLASSIC_81, delete_cells, ref_first_conflict, ref_render,
                      ref_token, ref_units, shuffled_valid_grid)
 
@@ -112,6 +112,24 @@ def test_grid_rejects_values_that_are_not_0_to_side(bad):
     with pytest.raises(ValueError, match="^cell value"):
         g.set_value(2, 3, bad)
     assert g.cells == blank
+
+
+def test_grid_holds_each_value_as_the_int_it_equals():
+    # 2.0, True and -0.0 equal 2, 1 and 0, so each is a cell value; the
+    # grid keeps the int, which the solver's bit shifts need.
+    cells = [[0] * 4 for _ in range(4)]
+    cells[0][0] = 2.0
+    cells[1][1] = True
+    cells[2][2] = -0.0
+    g = Grid(2, cells)
+    assert (g.cells[0][0], g.cells[1][1], g.cells[2][2]) == (2, 1, 0)
+    assert all(type(v) is int for row in g.cells for v in row)
+    g.set_value(4, 4, 3.0)
+    assert type(g.cells[3][3]) is int
+    report = solve(g)
+    assert report.solution_count > 0
+    assert all(type(v) is int
+               for sol in report.solutions for row in sol.cells for v in row)
 
 
 def test_grid_index_errors():

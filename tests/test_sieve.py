@@ -3,7 +3,7 @@ from bisect import bisect_right
 import pytest
 
 from bitsudoku import sieve
-from bitsudoku.sieve import BitArray, primes_up_to
+from bitsudoku.sieve import BitArray, prime_text, primes_up_to
 
 from oracles import is_prime_by_trial_division, primes_by_trial_division
 
@@ -37,8 +37,8 @@ def test_output_is_strictly_increasing_and_above_one():
     assert all(is_prime_by_trial_division(p) for p in ps[:100])
 
 
-# One trial-division list, read by prefix: it covers the segment edges below.
-REFERENCE = primes_by_trial_division(140_000)
+# One trial-division list, read by prefix: it covers the edges below.
+REFERENCE = primes_by_trial_division(200_001)
 
 
 def _reference_up_to(n):
@@ -57,10 +57,23 @@ def test_matches_trial_division_around_prime_squares():
             assert primes_up_to(n) == _reference_up_to(n), n
 
 
-@pytest.mark.parametrize("n", [*range(65533, 65539), *range(131069, 131075)])
+@pytest.mark.parametrize("n", [*range(65533, 65539), *range(131069, 131075),
+                               9999, 10000, 10001, 99999, 100000, 100001,
+                               199999, 200000, 200001])
 def test_matches_trial_division_at_segment_edges(n):
-    # Odd-number bits 2**15 and 2**16 (65537, 131073) start new segments.
+    # Segments are 10**5 numbers wide: 100001 and 200001 start the second
+    # and third.  Blocks are 10**4 wide, and 10001 = 73 * 137 and
+    # 100001 = 11 * 9091 each end on a block that holds no prime.  The
+    # range rows are the edges of 2**15-bit segments, an earlier width.
     assert primes_up_to(n) == _reference_up_to(n)
+
+
+# 10**k - 1, 10**k and 10**k + 1 for k = 0..7: each new digit count, up to
+# the 7- and 8-digit numbers that the trial-division edges never reach.
+@pytest.mark.parametrize("n", [10**k + d for k in range(8)
+                               for d in (-1, 0, 1)])
+def test_prime_text_is_the_decimal_of_primes_up_to(n):
+    assert "".join(prime_text(n)) == "".join(f"{p}\n" for p in primes_up_to(n))
 
 
 def test_one_million():
