@@ -7,6 +7,21 @@ a sieve bound above sys.maxsize, and a stdout that is closed or cannot be
 written, --help's included; 141 (128 + SIGPIPE) when the reader closes
 stdout early, as `sieve N | head` does.
 
+The command line is read as argparse read it, from one table of each
+subcommand's options, without importing argparse: the subcommand comes
+first, after at most -h/--help; options and the one positional follow in
+any order, the last of a repeated option winning.  `--opt V` and
+`--opt=V` both give a value, a unique prefix names an option (`--form`)
+and `--` ends the options; a token starting with - is an unknown option
+unless it is -, -5 and the like, holds a space or is an option's value.
+A bad value fails at once, so `solve --cap x -h` is a usage error and
+`solve -h --cap x` prints help; an unknown option or a second positional
+fails once the line is read.  A usage error writes the usage line and
+`bitsudoku <cmd>: error: <message>` to stderr and raises SystemExit(2).
+-h/--help writes argparse's help as it reads at 80 columns, never
+rewrapped to the terminal, and raises SystemExit(0); -h takes nothing
+after it in the same token, so -hh is an error.
+
 `sieve N` writes the decimal text that `sieve.prime_text` makes, one
 segment of 10**5 numbers per write, so neither a list of the primes nor
 an int per number is made.
@@ -14,7 +29,6 @@ an int per number is made.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -22,6 +36,86 @@ from .grid import (IncompleteGridError, PuzzleFormatError, is_sudoku_matrix,
                    parse, render)
 from .sieve import prime_text
 from .solver import ConflictError, Event, SolveReport, solve
+
+_OPTIONS = ("--help", "--format", "--stats", "--cap")
+_PAD = "\n" + " " * 23
+_PATH = "  path|-                puzzle file or - for stdin\n"
+# Subcommand: (its options, the end of its usage line, its positional's
+# help); the positional is `bound` for sieve and `input` for the others.
+_COMMANDS = {
+    "solve": (_OPTIONS, _PAD + "path|-", _PATH),
+    "count": (_OPTIONS + ("--limit",), _PAD + "[--limit N]" + _PAD + "path|-",
+              _PATH),
+    "check": (_OPTIONS, _PAD + "path|-", _PATH),
+    "sieve": (_OPTIONS, " N", "  N\n"),
+}
+_HELP_OPTION = """
+options:
+  -h, --help            show this help message and exit
+"""
+_TOP_HELP = """
+Solve, count, and check n^2 x n^2 Sudoku puzzles; list primes with a bit-array
+sieve.
+
+positional arguments:
+  {solve,count,check,sieve}
+    solve               print the first solution or UNSOLVABLE
+    count               count every solution
+    check               validate a complete grid (VALID/INVALID)
+    sieve               print all primes up to N, one per line
+""" + _HELP_OPTION
+_OPTIONS_HELP = _HELP_OPTION + """\
+  --format {generic,classic}
+                        output rendering (classic is order-3 only)
+  --stats               emit a 'solutions= trials= passes=' line
+  --cap N               accepted for compatibility; changes no output
+"""
+_LIMIT_HELP = "  --limit N             stop after counting N solutions\n"
+
+
+class _Args:
+    """One parsed command line: `subcommand`, `input` or `bound`, and the
+    options, which start at their defaults."""
+    format, stats, cap, limit = "generic", False, 1, None
+
+
+def _usage(cmd: str | None) -> str:
+    if cmd is None:
+        return "usage: bitsudoku [-h] {solve,count,check,sieve} ...\n"
+    return (f"usage: bitsudoku {cmd} [-h] [--format {{generic,classic}}] "
+            f"[--stats] [--cap N]{_COMMANDS[cmd][1]}\n")
+
+
+def _help(cmd: str | None) -> str:
+    if cmd is None:
+        return _usage(None) + _TOP_HELP
+    return (_usage(cmd) + "\npositional arguments:\n" + _COMMANDS[cmd][2]
+            + _OPTIONS_HELP + (_LIMIT_HELP if cmd == "count" else ""))
+
+
+def _fail(cmd: str | None, message: str):
+    print(f"{_usage(cmd)}bitsudoku{' ' + cmd if cmd else ''}: error: "
+          f"{message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _option(token: str, names: tuple[str, ...]) -> tuple | None:
+    """None if `token` is a positional, else (the option it names, or None
+    if it names none, and its `=` value or None)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token.startswith("--"):
+        name, eq, value = token.partition("=")
+        hits = [n for n in names if n.startswith(name)]
+        if len(hits) == 1:
+            return hits[0], value if eq else None
+    elif token.startswith("-h"):
+        return "--help", token[2:] or None
+    # A negative number (-5, -.5, -1.5) or a text with a space is a value.
+    whole, dot, frac = token[1:].partition(".")
+    if (whole + frac).isdecimal() and (frac or not dot) or " " in token:
+        return None
+    return None, None
 
 
 def _read_text(path: str) -> str:
@@ -39,13 +133,74 @@ def _ascii_int(text: str) -> int:
     """A number in ASCII digits only, as parse() reads a clue: no sign.
     Leading zeros do not count toward int()'s digit limit."""
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid number {text!r}")
+        raise ValueError(f"invalid number {text!r}")
     digits = text.lstrip("0") or "0"
     try:
         return int(digits)
     except ValueError:          # past int()'s digit limit
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"invalid number of {len(digits)} digits") from None
+
+
+def _value(cmd: str, name: str, text: str) -> int | str:
+    """The value of option `name` (or of N) given as `text`."""
+    try:
+        if name != "--format":
+            return _ascii_int(text)
+        if text in ("generic", "classic"):
+            return text
+        raise ValueError(f"invalid choice: {text!r} "
+                         "(choose from 'generic', 'classic')")
+    except ValueError as exc:
+        _fail(cmd, f"argument {name}: {exc}")
+
+
+def _parse(argv: list[str]) -> _Args:
+    """Read one command line as the module docstring states."""
+    args, cmd, names, value, extras = _Args(), None, ("--help",), None, []
+    tokens, ended = iter(argv), False
+    for token in tokens:
+        if token == "--" and cmd and not ended:
+            ended = True
+            continue
+        found = not ended and token != "--" and _option(token, names)
+        if not found and cmd is None:
+            if token not in _COMMANDS:
+                _fail(None, f"argument subcommand: invalid choice: {token!r}"
+                      " (choose from 'solve', 'count', 'check', 'sieve')")
+            cmd = args.subcommand = token
+            names = _COMMANDS[cmd][0]
+        elif not found and value is None:
+            value = _value(cmd, "N", token) if cmd == "sieve" else token
+        elif not found or not found[0]:
+            extras.append(token)
+        elif found[0] in ("--help", "--stats") and found[1] is not None:
+            _fail(cmd, f"argument {found[0]}: ignored explicit argument "
+                  f"{found[1]!r}")
+        elif found[0] == "--stats":
+            args.stats = True
+        elif found[0] == "--help":
+            sys.stdout.write(_help(cmd))
+            sys.stdout.flush()
+            raise SystemExit(0)
+        else:
+            name, text = found
+            if text is None:
+                text = next(tokens, None)
+                if text is None or text == "--" or _option(text, names):
+                    _fail(cmd, f"argument {name}: expected one argument")
+            setattr(args, name[2:], _value(cmd, name, text))
+    if cmd is None:
+        _fail(None, "the following arguments are required: subcommand")
+    if value is None:
+        _fail(cmd, "the following arguments are required: "
+              + _COMMANDS[cmd][1].split()[-1])
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    if args.limit is not None and args.limit < 1:
+        _fail(None, "--limit must be >= 1")
+    setattr(args, "bound" if cmd == "sieve" else "input", value)
+    return args
 
 
 def _count_field(report: SolveReport) -> str:
@@ -57,7 +212,7 @@ def _stats_line(report: SolveReport) -> str:
             f"trials={report.trials} passes={report.propagation_passes}")
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: _Args) -> int:
     """Execute one parsed command line and return the process exit code."""
     if args.subcommand == "sieve":
         try:
@@ -109,56 +264,12 @@ def run(args: argparse.Namespace) -> int:
     return 0 if report.solution_count > 0 else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None):
-        # argparse's own print_help drops an OSError from its write, so
-        # --help into a full stdout would exit 0 with the text lost; a
-        # write and flush here let main report it as any lost output.
-        file = file or sys.stdout
-        file.write(self.format_help())
-        file.flush()
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="bitsudoku",
-        description="Solve, count, and check n^2 x n^2 Sudoku puzzles; "
-                    "list primes with a bit-array sieve.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, summary in (
-            ("solve", "print the first solution or UNSOLVABLE"),
-            ("count", "count every solution"),
-            ("check", "validate a complete grid (VALID/INVALID)"),
-            ("sieve", "print all primes up to N, one per line")):
-        p = sub.add_parser(name, help=summary)
-        p.add_argument("--format", choices=("generic", "classic"),
-                       default="generic",
-                       help="output rendering (classic is order-3 only)")
-        p.add_argument("--stats", action="store_true",
-                       help="emit a 'solutions= trials= passes=' line")
-        p.add_argument("--cap", type=_ascii_int, default=1, metavar="N",
-                       help="accepted for compatibility; changes no output")
-        if name == "sieve":
-            p.add_argument("bound", type=_ascii_int, metavar="N")
-        else:
-            p.add_argument("input", metavar="path|-",
-                           help="puzzle file or - for stdin")
-        if name == "count":
-            p.add_argument("--limit", type=_ascii_int, metavar="N",
-                           help="stop after counting N solutions")
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
     if sys.stdout is None:              # started with fd 1 closed
         print("error: stdout is closed", file=sys.stderr)
         return 2
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "limit", None) is not None and args.limit < 1:
-            parser.error("--limit must be >= 1")
-        code = run(args)
+        code = run(_parse(sys.argv[1:] if argv is None else argv))
         sys.stdout.flush()
     except OSError as exc:
         # Keep the flush at interpreter exit from failing a second time.

@@ -3,9 +3,10 @@
 Everything here is deliberately naive and shares no code with the package
 under test: set algebra over explicit element lists, unit scans over
 explicit value lists, propagation-free backtracking over raw cell arrays,
-and trial-division primality.
+trial-division primality, and argparse for the command line.
 """
 
+import argparse
 import random
 import sys
 
@@ -250,3 +251,60 @@ def is_prime_by_trial_division(n: int) -> bool:
 
 def primes_by_trial_division(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if is_prime_by_trial_division(p)]
+
+
+# ---------------------------------------------------------------------------
+# argparse command line (reference for the CLI's own parser)
+# ---------------------------------------------------------------------------
+
+def _ascii_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}")
+    digits = text.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid number of {len(digits)} digits") from None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI was built on, as it stood before the CLI
+    read its command line itself."""
+    parser = argparse.ArgumentParser(
+        prog="bitsudoku",
+        description="Solve, count, and check n^2 x n^2 Sudoku puzzles; "
+                    "list primes with a bit-array sieve.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, summary in (
+            ("solve", "print the first solution or UNSOLVABLE"),
+            ("count", "count every solution"),
+            ("check", "validate a complete grid (VALID/INVALID)"),
+            ("sieve", "print all primes up to N, one per line")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=("generic", "classic"),
+                       default="generic",
+                       help="output rendering (classic is order-3 only)")
+        p.add_argument("--stats", action="store_true",
+                       help="emit a 'solutions= trials= passes=' line")
+        p.add_argument("--cap", type=_ascii_int, default=1, metavar="N",
+                       help="accepted for compatibility; changes no output")
+        if name == "sieve":
+            p.add_argument("bound", type=_ascii_int, metavar="N")
+        else:
+            p.add_argument("input", metavar="path|-",
+                           help="puzzle file or - for stdin")
+        if name == "count":
+            p.add_argument("--limit", type=_ascii_int, metavar="N",
+                           help="stop after counting N solutions")
+    return parser
+
+
+def parse_cli_args(argv: list[str]) -> argparse.Namespace:
+    """The command line as argparse reads it, with the CLI's one check
+    past it: --limit must be at least 1."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "limit", None) is not None and args.limit < 1:
+        parser.error("--limit must be >= 1")
+    return args

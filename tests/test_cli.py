@@ -14,7 +14,8 @@ from bitsudoku import cli
 from bitsudoku.cli import main
 from bitsudoku.grid import is_sudoku_matrix, parse
 
-from oracles import (CLASSIC_81, INVALID_4, clues, primes_by_trial_division,
+from oracles import (CLASSIC_81, INVALID_4, clues, delete_cells,
+                     primes_by_trial_division, ref_render,
                      shuffled_valid_grid)
 
 EMPTY_4 = "2\n" + "0 0 0 0\n" * 4
@@ -207,8 +208,8 @@ def test_unwritable_stdout_is_an_output_error(command, redirect):
     assert proc.stderr.count(b"\n") == 1
 
 
-# argparse writes --help itself and drops an error from that write: the
-# lost text must still exit 2, whether the write or the flush fails.
+# --help's text is output like any other: when it is lost, the process
+# must still exit 2, whether the write or the flush fails.
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 @pytest.mark.parametrize("argv", [["--help"], ["sieve", "--help"]])
 def test_help_into_a_full_stdout_is_an_output_error(argv, unbuffered):
@@ -478,3 +479,75 @@ def test_cli_import_loads_no_heavy_modules():
     assert "bitsudoku.cli" in loaded
     assert loaded.isdisjoint(HEAVY_MODULES), sorted(
         loaded.intersection(HEAVY_MODULES))
+
+
+# The command line is read without argparse, and so without the gettext
+# and locale modules argparse loads: a process of the benchmark's kinds
+# loads none of the three.  What site loaded before the run is not
+# counted, as it would load for any script.
+_LOADED = """\
+import runpy, sys
+before = set(sys.modules)
+sys.argv[0] = "bitsudoku"
+try:
+    runpy.run_module("bitsudoku", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write("\\nLOADED " + " ".join(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--stats", "--format", "classic", "-"],
+    ["sieve", "1"],
+])
+def test_cli_process_loads_no_argument_parser(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          input=CLASSIC_81.encode(), capture_output=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.rsplit(b"LOADED ", 1)[1].decode().split())
+    assert "bitsudoku.cli" in loaded
+    assert loaded.isdisjoint({"argparse", "gettext", "locale"})
+
+
+FUZZ_COMMANDS = (["solve", "-"], ["check", "-"],
+                 ["count", "--limit", "3", "-"],
+                 ["solve", "--stats", "--format", "classic", "-"])
+
+
+def _fuzz_bytes(rng):
+    """Random bytes, or the text of a seeded order-2 or order-3 board with
+    some cells blank and up to three bytes changed.  Orders stay at 2-3
+    and count stays under --limit: a sparse larger board has no bound on
+    its work."""
+    if rng.random() < 0.5:
+        return rng.randbytes(rng.randrange(48))
+    order = rng.choice((2, 3))
+    cells = delete_cells(shuffled_valid_grid(order, rng),
+                         rng.randrange(order ** 4 + 1), rng)
+    data = bytearray(ref_render(order, cells).encode())
+    for _ in range(rng.randrange(4)):
+        data[rng.randrange(len(data))] = rng.randrange(256)
+    return bytes(data)
+
+
+# Whatever bytes arrive on stdin, each command ends with exit 0, 1 or 2,
+# never a traceback; exit 2 prints nothing to stdout and one error.
+def test_cli_on_arbitrary_stdin_bytes(monkeypatch):
+    rng = random.Random(2024)
+    codes = set()
+    for case in range(4000):
+        data = _fuzz_bytes(rng)
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        monkeypatch.setattr("sys.stdout", out)
+        monkeypatch.setattr("sys.stderr", err)
+        code = main(FUZZ_COMMANDS[case % 4])
+        assert code in (0, 1, 2), (case, data)
+        if code == 2:
+            assert out.getvalue() == "", (case, data)
+            assert err.getvalue().startswith("error: "), (case, data)
+        codes.add(code)
+    assert codes == {0, 1, 2}
