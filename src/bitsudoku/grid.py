@@ -4,12 +4,17 @@ A value of 0 marks a blank cell.  Public coordinates (row i, column j,
 block row k, block column l) are 1-based throughout; the underlying cell
 array is ordinary 0-based storage.  Cell (i, j) lies in block (k, l) with
 (k-1)·n < i <= k·n and (l-1)·n < j <= l·n.
+
+unit_scan reads the clues at C speed: each unit's word is the sum of one
+slice of the cells' bits, and only a board whose sums lose bits to a
+carry is walked unit by unit to name its first repeat.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import chain
+from operator import itemgetter
 
 from .smallset import _Record
 
@@ -44,8 +49,9 @@ def cell_index(i: int, j: int, side: int) -> int:
 class Grid(_Record):
     """Cell storage for one board; `cells[r][c]` is 0-based raw access.
 
-    Two grids are == when their order and cells are; grids are mutable and
-    unhashable.
+    A raw write to `cells` must be an int in [0, n²]: solve and check
+    assume it, and set_value enforces it.  Two grids are == when their
+    order and cells are; grids are mutable and unhashable.
     """
 
     _fields = ("order", "cells")
@@ -121,6 +127,21 @@ def unit_table(order: int) -> tuple[tuple[int, int, int], ...]:
                  for r in range(m) for c in range(m))
 
 
+@cache
+def _scan_tables(order: int) -> tuple[tuple, itemgetter, tuple[slice, ...]]:
+    """Each value's bit (0 for a blank); a getter of the flat cells block by
+    block, row-major in each; and each unit's slice, in unit_table's order,
+    of the flat cells followed by that block-major copy."""
+    m = order * order
+    mm = m * m
+    table = unit_table(order)
+    block_major = itemgetter(*sorted(range(mm), key=lambda k: table[k][2]))
+    units = ([slice(i, i + m) for i in range(0, mm, m)]
+             + [slice(j, mm, m) for j in range(m)]
+             + [slice(i, i + m) for i in range(mm, 2 * mm, m)])
+    return (0, *(1 << v for v in range(m))), block_major, tuple(units)
+
+
 def is_sudoku_matrix(g: Grid) -> bool:
     """Whether every row, column, and block is a permutation of {1..side}.
 
@@ -135,33 +156,35 @@ def is_sudoku_matrix(g: Grid) -> bool:
 
 
 def unit_scan(order: int, cells: list[int]
-              ) -> tuple[list[int], tuple[str, int, int] | None]:
+              ) -> tuple[list[int] | None, tuple[str, int, int] | None]:
     """The words of values the row-major cells hold per unit of unit_table,
-    value d at bit d-1, and the first (unit kind, unit index, duplicated
-    value) or None: units rank rows, then columns, then blocks, and each
-    reports the first value it sees twice in this one pass."""
+    value d at bit d-1, and None; or, if a unit repeats a value, None and
+    the first (unit kind, unit index, duplicated value): units rank rows,
+    then columns, then blocks, and each is read in reading order.
+
+    A word is the sum of its cells' bits, and c single bits sum to c bits
+    set, their OR, exactly when no two are equal.  Every clue lies in three
+    units, so no unit repeats a value iff the words hold 3 bits per clue."""
+    bit, block_major, units = _scan_tables(order)
+    bits = [bit[v] for v in cells]
+    bits += block_major(bits)
+    words = list(map(sum, map(bits.__getitem__, units)))
+    if sum(map(int.bit_count, words)) == 3 * (len(cells) - cells.count(0)):
+        return words, None
+    values = cells + list(block_major(cells))
     m = order * order
-    seen = [0] * (3 * m)
-    repeat = [0] * (3 * m)      # per unit, the first value seen twice
-    for v, (a, b, c) in zip(cells, unit_table(order)):
-        if v:
-            bit = 1 << (v - 1)
-            if (seen[a] | seen[b] | seen[c]) & bit:
-                for u in a, b, c:
-                    if seen[u] & bit:
-                        repeat[u] = repeat[u] or v
-            seen[a] |= bit
-            seen[b] |= bit
-            seen[c] |= bit
-    for u, v in enumerate(repeat):
-        if v:
-            return seen, (("row", "column", "block")[u // m], u % m + 1, v)
-    return seen, None
+    for u, unit in enumerate(units):
+        seen = set()
+        for v in filter(None, values[unit]):
+            if v in seen:
+                return None, (("row", "column", "block")[u // m], u % m + 1, v)
+            seen.add(v)
+    raise ValueError(f"cell values outside [0, {m}]")
 
 
 def first_conflict(g: Grid) -> tuple[str, int, int] | None:
     """The first conflict unit_scan finds on g, or None."""
-    return unit_scan(g.order, [v for row in g.cells for v in row])[1]
+    return unit_scan(g.order, list(chain.from_iterable(g.cells)))[1]
 
 
 def parse(text: str) -> Grid:

@@ -17,11 +17,14 @@ rebuilds from the cells it leaves blank.  A search frame
 saves its words and open list (less its branch cell), never its cells; the
 deepest frame with values left restores them after a dead end or a
 solution, so propagation must replace the open list, never mutate it.
+The sweep itself is one private function on bare lists, _sweep: solve
+calls it on its own locals, and propagate wraps it for a SolverState.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain
 
 from .grid import Grid, cell_index, unit_scan, unit_table
 from .smallset import SmallSet, _Record
@@ -43,6 +46,10 @@ class Event(Enum):
     E2_SOLVED = "solved"
     E3_EXHAUSTED_BY_SEARCH = "exhausted-by-search"
 
+
+_E1 = Event.E1_CONTRADICTION
+_E2 = Event.E2_SOLVED
+_E3 = Event.E3_EXHAUSTED_BY_SEARCH
 
 # Branching-cell policies for the trial phase.
 FEWEST_CANDIDATES = "fewest-candidates"
@@ -131,7 +138,7 @@ def init_state(g: Grid) -> SolverState:
 
     Raises ConflictError naming the first unit that repeats a value.
     """
-    cells = [v for row in g.cells for v in row]
+    cells = list(chain.from_iterable(g.cells))
     held, conflict = unit_scan(g.order, cells)
     if conflict:
         kind, index, value = conflict
@@ -177,14 +184,19 @@ def propagate(state: SolverState) -> tuple[SolverState, Event, int]:
     a completed sweep that assigned nothing.  The pass count is the number
     of completed sweeps (0 when the grid arrives complete).
     """
-    open_ = state.open
+    state.open, event, passes = _sweep(state.cells, state.words,
+                                       unit_table(state.order), state.open)
+    return state, event, passes
+
+
+def _sweep(cells: list[int], words: list[int],
+           units: tuple[tuple[int, int, int], ...], open_: list[int]
+           ) -> tuple[list[int], Event, int]:
+    """propagate on bare lists: the new open list, the event and the pass
+    count.  open_ is never mutated: solve's trials share one list."""
     if not open_:
-        return state, Event.E2_SOLVED, 0
-    cells = state.cells
-    words = state.words
-    units = unit_table(state.order)
+        return open_, _E2, 0
     passes = 0
-    # state.open is replaced, never mutated: solve's trials share one list.
     while True:
         placed = 0
         survivors: list[int] = []
@@ -201,24 +213,22 @@ def propagate(state: SolverState) -> tuple[SolverState, Event, int]:
                 placed += 1
             else:
                 # Every cell before k either survived or was placed.
-                state.open = survivors + open_[len(survivors) + placed:]
-                return state, Event.E1_CONTRADICTION, passes
+                return (survivors + open_[len(survivors) + placed:], _E1,
+                        passes)
         passes += 1
-        state.open = open_ = survivors
+        open_ = survivors
         if not open_:
-            return state, Event.E2_SOLVED, passes
+            return open_, _E2, passes
         if not placed:
-            return state, Event.E3_EXHAUSTED_BY_SEARCH, passes
+            return open_, _E3, passes
 
 
-def _branch_cell(state: SolverState, policy: str) -> int:
-    open_ = state.open
+def _branch_cell(open_: list[int], words: list[int],
+                 units: tuple[tuple[int, int, int], ...], policy: str) -> int:
     if policy == FIRST_BLANK:
         return open_[0]
-    words = state.words
-    units = unit_table(state.order)
     best = open_[0]
-    best_size = state.order * state.order + 1
+    best_size = len(words)          # 3m, above any candidate count
     for k in open_:
         a, b, c = units[k]
         size = (words[a] & words[b] & words[c]).bit_count()
@@ -261,18 +271,18 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
     # keeps its value on the path to it, and an open cell a failed trial
     # wrote is rewritten before any E2 reads the cells through state.grid.
     stack: list[tuple[int, int, list[int], list[int]]] = []
-    _, root_event, passes_total = propagate(state)
+    open_, root_event, passes_total = _sweep(cells, words, units, state.open)
     event = root_event
     while True:
-        if event is Event.E3_EXHAUSTED_BY_SEARCH:
-            k = _branch_cell(state, branch)
+        if event is _E3:
+            k = _branch_cell(open_, words, units, branch)
             a, b, c = units[k]
             untried = words[a] & words[b] & words[c]
             saved_words = words[:]
-            rest = state.open.copy()
+            rest = open_.copy()
             rest.remove(k)
         else:
-            if event is Event.E2_SOLVED:
+            if event is _E2:
                 count += 1
                 if len(solutions) < cap:
                     solutions.append(state.grid)
@@ -289,12 +299,11 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
         if untried:
             stack.append((untried, k, saved_words, rest))
         trials += 1
-        state.open = rest
         cells[k] = bit.bit_length()
         words[a] &= ~bit
         words[b] &= ~bit
         words[c] &= ~bit
-        _, event, passes = propagate(state)
+        open_, event, passes = _sweep(cells, words, units, rest)
         passes_total += passes
     return SolveReport(solution_count=count, solutions=solutions,
                        trials=trials, propagation_passes=passes_total,

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and shares no code with the package
 under test: set algebra over explicit element lists, unit scans over
 explicit value lists, propagation-free backtracking over raw cell arrays,
-trial-division primality, and argparse for the command line.
+the solver's sweep and search restated over sets, trial-division
+primality, and argparse for the command line.
 """
 
 import argparse
@@ -103,6 +104,108 @@ def brute_force_solutions(order: int, cells: list[list[int]],
 def brute_force_count(order: int, cells: list[list[int]],
                       limit: int | None = None) -> int:
     return len(brute_force_solutions(order, cells, limit))
+
+
+def ref_solve(order: int, cells: list[list[int]], limit: int | None = None,
+              branch: str = "fewest-candidates") -> tuple:
+    """The solver's counters restated over Python sets, one per unit, with
+    recursion and fresh copies instead of words and a frame stack:
+    (count, trials, passes, truncated, root event, first solution or None).
+
+    A sweep walks the blanks row-major and places as it goes: no candidate
+    ends the run at once ("contradiction", and that pass is not counted),
+    one candidate is placed, two or more keep the cell.  After a completed
+    pass, no blanks left is "solved"; nothing placed is
+    "exhausted-by-search".  Search then branches on the first blank
+    ("first-blank") or on the first cell with the fewest candidates, taken
+    row-major and stopping at the first with two; each candidate, in
+    ascending order, is one trial followed by a sweep.  With `limit`, the
+    run stops at that many solutions, truncated if some branch on the way
+    down still had values to try.  Clues are assumed duplicate-free.
+    """
+    m = order * order
+    full = set(range(1, m + 1))
+    count = trials = passes = 0
+    first = None
+    truncated = False
+
+    def units_of(r, c):
+        return ("row", r), ("column", c), ("block", r // order, c // order)
+
+    def options(held, r, c):
+        return full.difference(*(held[u] for u in units_of(r, c)))
+
+    def place(work, held, r, c, v):
+        work[r][c] = v
+        for u in units_of(r, c):
+            held[u].add(v)
+
+    def sweep(work, held, blanks):
+        done = 0
+        while blanks:
+            placed, survivors = 0, []
+            for r, c in blanks:
+                values = options(held, r, c)
+                if len(values) > 1:
+                    survivors.append((r, c))
+                elif values:
+                    place(work, held, r, c, values.pop())
+                    placed += 1
+                else:
+                    return "contradiction", done, blanks
+            done += 1
+            blanks = survivors
+            if blanks and not placed:
+                return "exhausted-by-search", done, blanks
+        return "solved", done, blanks
+
+    def pick(held, blanks):
+        if branch == "first-blank":
+            return blanks[0]
+        best, fewest = blanks[0], m + 1
+        for r, c in blanks:
+            size = len(options(held, r, c))
+            if size < fewest:
+                best, fewest = (r, c), size
+                if size == 2:
+                    break
+        return best
+
+    def run(work, held, blanks):
+        """Sweep, then search below; (event of the sweep, limit reached)."""
+        nonlocal count, trials, passes, first, truncated
+        event, done, blanks = sweep(work, held, blanks)
+        passes += done
+        if event == "solved":
+            count += 1
+            if first is None:
+                first = [row[:] for row in work]
+            return event, limit is not None and count >= limit
+        if event == "contradiction":
+            return event, False
+        r, c = pick(held, blanks)
+        rest = [b for b in blanks if b != (r, c)]
+        values = sorted(options(held, r, c))
+        for i, v in enumerate(values):
+            trials += 1
+            work2 = [row[:] for row in work]
+            held2 = {u: s.copy() for u, s in held.items()}
+            place(work2, held2, r, c, v)
+            if run(work2, held2, rest)[1]:
+                truncated = truncated or i + 1 < len(values)
+                return event, True
+        return event, False
+
+    work = [row[:] for row in cells]
+    held = {u: set() for r in range(m) for c in range(m)
+            for u in units_of(r, c)}
+    for r in range(m):
+        for c in range(m):
+            if work[r][c]:
+                place(work, held, r, c, work[r][c])
+    blanks = [(r, c) for r in range(m) for c in range(m) if not work[r][c]]
+    root_event, _ = run(work, held, blanks)
+    return count, trials, passes, truncated, root_event, first
 
 
 def clues(g) -> list[tuple[int, int, int]]:

@@ -1,8 +1,11 @@
 import random
 import re
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bitsudoku.grid import (
     Grid,
@@ -12,6 +15,7 @@ from bitsudoku.grid import (
     is_sudoku_matrix,
     parse,
     render,
+    unit_scan,
     unit_table,
 )
 from bitsudoku.solver import ConflictError, init_state, solve
@@ -237,6 +241,58 @@ def test_unit_checks_match_naive_unit_scan():
         verdicts.add(verdict)
     assert firsts == {None, "row", "column", "block"}
     assert verdicts == {True, False, "incomplete"}
+
+
+@st.composite
+def _scan_boards(draw):
+    """A valid or a blank board at order 2-5, less some cells, with up to
+    three cells then overwritten by any clue."""
+    n = draw(st.integers(2, 5))
+    m = n * n
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    cells = (shuffled_valid_grid(n, rng) if draw(st.booleans())
+             else [[0] * m for _ in range(m)])
+    cells = delete_cells(cells, draw(st.integers(0, m * m)), rng)
+    index = st.integers(0, m - 1)
+    for r, c, v in draw(st.lists(st.tuples(index, index, st.integers(1, m)),
+                                 max_size=3)):
+        cells[r][c] = v
+    return n, cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_boards())
+def test_unit_scan_matches_the_unit_by_unit_reference(board):
+    n, cells = board
+    words, conflict = unit_scan(n, list(chain.from_iterable(cells)))
+    assert conflict == ref_first_conflict(n, cells)
+    if conflict is None:
+        assert words == [reduce(or_, (1 << (v - 1) for v in values if v), 0)
+                         for _, _, values in ref_units(n, cells)]
+    else:
+        assert words is None
+
+
+# Repeats whose bit sums carry in different ways; each unit is named by
+# rank (rows, columns, blocks), then its first value met a second time.
+@pytest.mark.parametrize("n, clues, want", [
+    # One value three times in a row: 2 + 2 + 2 sets two bits, not three.
+    (3, {(1, 1): 2, (1, 4): 2, (1, 7): 2}, ("row", 1, 2)),
+    # Two repeated pairs in one column, read 5, 7, 7, 5.
+    (3, {(1, 2): 5, (4, 2): 7, (7, 2): 7, (8, 2): 5}, ("column", 2, 7)),
+    # The top value twice in the centre block, rows and columns clean.
+    (5, {(11, 12): 25, (14, 15): 25, (1, 1): 25}, ("block", 13, 25)),
+    # Columns rank before blocks, whatever the indices.
+    (3, {(1, 1): 6, (2, 2): 6, (4, 5): 4, (9, 5): 4}, ("column", 5, 4)),
+])
+def test_unit_scan_names_the_first_repeat(n, clues, want):
+    m = n * n
+    cells = [[0] * m for _ in range(m)]
+    for (i, j), v in clues.items():
+        cells[i - 1][j - 1] = v
+    assert ref_first_conflict(n, cells) == want
+    assert unit_scan(n, list(chain.from_iterable(cells))) == (None, want)
+    assert first_conflict(Grid(n, cells)) == want
 
 
 # -- parsing -----------------------------------------------------------------

@@ -21,6 +21,7 @@ from oracles import (
     brute_force_count,
     brute_force_solutions,
     delete_cells,
+    ref_solve,
     shuffled_valid_grid,
 )
 
@@ -434,6 +435,40 @@ def test_9x9_solutions_match_brute_force():
         assert sorted(s.cells for s in report.solutions) == sorted(expected)
         multiple += len(expected) > 1
     assert multiple == 8
+
+
+def _counter_corpus():
+    """Seeded boards, each with the limits to run it under: exhaustive
+    counts at orders 2 and 3, the first 1-3 solutions at order 4."""
+    yield 2, WITNESS_4, [None]
+    rng = random.Random(20120119)
+    for _ in range(12):
+        yield 2, delete_cells(shuffled_valid_grid(2, rng),
+                              rng.randint(4, 16), rng), [None]
+    for _ in range(16):
+        yield 3, delete_cells(shuffled_valid_grid(3, rng),
+                              rng.randint(44, 54), rng), [None]
+    for _ in range(4):
+        yield 4, delete_cells(shuffled_valid_grid(4, rng),
+                              rng.randint(115, 135), rng), [1, 2, 3]
+
+
+@pytest.mark.parametrize("branch", [FEWEST_CANDIDATES, FIRST_BLANK])
+def test_counters_match_the_set_based_restatement(branch):
+    seen = set()
+    for order, puzzle, limits in _counter_corpus():
+        for limit in limits:
+            report = solve(Grid(order, puzzle), limit=limit, branch=branch)
+            got = (report.solution_count, report.trials,
+                   report.propagation_passes, report.truncated,
+                   report.terminal_event.value,
+                   report.solutions[0].cells if report.solutions else None)
+            assert got == ref_solve(order, puzzle, limit, branch)
+            seen.add((report.terminal_event, report.truncated))
+    # Each root event occurs, and search both stops early and runs out.
+    assert seen >= {(Event.E1_CONTRADICTION, False), (Event.E2_SOLVED, False),
+                    (Event.E3_EXHAUSTED_BY_SEARCH, False),
+                    (Event.E3_EXHAUSTED_BY_SEARCH, True)}
 
 
 def test_branch_policies_agree_on_count():
