@@ -1,4 +1,4 @@
-"""Bitset-backed Sudoku engine for n²×n² boards, with a bit-array sieve."""
+"""Bitset-backed Sudoku engine for n²×n² boards, with a prime sieve."""
 
 from .grid import (
     Grid,

@@ -1,21 +1,19 @@
-"""Prime generation by striking composites in packed bits.
+"""Prime generation by striking composites in flag bytes.
 
-The sieve keeps only the odd numbers, bit i standing for 2i + 1, and works
-through them in segments of `_SEGMENT_BITS` bits, 10**5 numbers each, so
+The sieve keeps only the odd numbers, flag i standing for 2i + 1, and works
+through them in segments of `_SEGMENT_BITS` flags, 10**5 numbers each, so
 that no value is as wide as the bound: memory is O(sqrt(n)), the primes up
-to isqrt(n) that strike plus one segment.  In each segment, every odd
-prime below `_TILE_BELOW` strikes its odd multiples (from p*p on) with one
-OR of a periodic tile (bits 0, p, 2p, ...), built once by doubling and
-shifted to the segment's phase.  The segment's bits are then read back as
-a string of flag bytes, where each larger prime strikes its few multiples
-by one extended-slice assignment, and `itertools.compress` filters the
-flags at C speed.  `primes_up_to` filters the odd numbers themselves into
-one list.  `prime_text` makes the decimal text without an int per number:
-a segment is ten blocks of 10**4 numbers, and each block filters one
-shared table of the 4-digit odd suffixes "0001\n" .. "9999\n" and joins
-them with the block number as the prefix.  A bound above sys.maxsize
-raises OverflowError before any work.  `BitArray` is a general packed bit
-array in machine words, with checked per-bit access.
+to isqrt(n) that strike plus one segment.  A segment starts as one byte of
+1 per odd number, and every odd prime whose square lies in or below it
+strikes its odd multiples there (from p*p on) by one extended-slice
+assignment of zero bytes; `itertools.compress` then filters the flags at C
+speed.  `primes_up_to` filters the odd numbers themselves into one list.
+`prime_text` makes the decimal text without an int per number: a segment
+is ten blocks of 10**4 numbers, and each block filters one shared table of
+the 4-digit odd suffixes "0001\n" .. "9999\n" and joins them with the
+block number as the prefix.  A bound above sys.maxsize raises
+OverflowError before any work.  `BitArray` is a general packed bit array
+in machine words, with checked per-bit access.
 """
 
 from __future__ import annotations
@@ -67,15 +65,10 @@ class BitArray:
 # Odd numbers per decimal block of 10**4: block b holds 10**4*b + 1, + 3,
 # ..., + 9999, which are odd-number bits 5000*b to 5000*b + 4999.
 _BLOCK_BITS = 5000
-# Odd-number bits struck, read back and yielded per step: keeps every
-# temporary of a segment small, whatever the bound.  Ten whole blocks, so
-# segment s holds the numbers 10**5*s + 1 to 10**5*(s + 1).
+# Odd-number bits struck and yielded per step: keeps every temporary of a
+# segment small, whatever the bound.  Ten whole blocks, so segment s holds
+# the numbers 10**5*s + 1 to 10**5*(s + 1).
 _SEGMENT_BITS = 10 * _BLOCK_BITS
-# Primes below this strike with a packed tile; the rest strike through the
-# flag bytes, where a tile would cost a segment's width for few multiples.
-_TILE_BELOW = 32
-# Reversed binary digits to flags: an unstruck bit ('0') marks a prime.
-_PRIME_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -127,34 +120,17 @@ def _odd_segments(n: int) -> Iterator[tuple[int, bytearray]]:
         return
     length = (n + 1) // 2  # the odd numbers 1, 3, ..., <= n
     odd = primes_up_to(isqrt(n))[1:]
-    tiled = [(p, _tile(p)) for p in odd if p < _TILE_BELOW]
-    sliced = [p for p in odd if p >= _TILE_BELOW]
     for lo in range(0, length, _SEGMENT_BITS):
-        hi = min(lo + _SEGMENT_BITS, length)
-        width = hi - lo
-        struck = 1 if lo == 0 else 0  # bit 0 is the number 1
-        for p, tile in tiled:
-            struck |= tile << _first_multiple(p, lo) - lo
-        # A sentinel bit above the segment fixes the digit count; [:0:-1]
-        # drops it and puts bit 0 first.
-        bits = struck & (1 << width) - 1 | 1 << width
-        flags = bytearray(format(bits, "b")[:0:-1], "ascii")
-        flags = flags.translate(_PRIME_FLAGS)
-        for p in sliced:
-            if p * p // 2 >= hi:
+        width = min(_SEGMENT_BITS, length - lo)
+        flags = bytearray(b"\x01") * width
+        if lo == 0:
+            flags[0] = 0  # flag 0 is the number 1
+        for p in odd:
+            if p * p // 2 >= lo + width:
                 break
             first = _first_multiple(p, lo) - lo
             flags[first::p] = bytes(len(range(first, width, p)))
         yield lo, flags
-
-
-def _tile(p: int) -> int:
-    """Bits 0, p, 2p, ... below _SEGMENT_BITS, by doubling."""
-    tile, width = 1, p
-    while width < _SEGMENT_BITS:
-        tile |= tile << width
-        width <<= 1
-    return tile & (1 << _SEGMENT_BITS) - 1
 
 
 def _first_multiple(p: int, lo: int) -> int:

@@ -4,12 +4,14 @@ Everything here is deliberately naive and shares no code with the package
 under test: set algebra over explicit element lists, unit scans over
 explicit value lists, propagation-free backtracking over raw cell arrays,
 the solver's sweep and search restated over sets, trial-division
-primality, and argparse for the command line.
+primality, an unsegmented Eratosthenes over every number, and argparse for
+the command line.
 """
 
 import argparse
 import random
 import sys
+from math import isqrt
 
 # Widely published order-3 puzzle of ordinary difficulty, in classic form.
 CLASSIC_81 = ("530070000600195000098000060800060003400803001"
@@ -338,7 +340,7 @@ def delete_cells(cells: list[list[int]], count: int,
 
 
 # ---------------------------------------------------------------------------
-# Trial-division primality (reference for the sieve)
+# Trial division and a plain sieve (references for the sieve)
 # ---------------------------------------------------------------------------
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -354,6 +356,16 @@ def is_prime_by_trial_division(n: int) -> bool:
 
 def primes_by_trial_division(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if is_prime_by_trial_division(p)]
+
+
+def primes_by_plain_sieve(n: int) -> list[int]:
+    """Eratosthenes over one flag per number 0..n: no segments, no odd-only
+    layout, every prime striking the whole range at once."""
+    flags = bytearray([1]) * (n + 1)
+    for p in range(2, isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if flags[p]]
 
 
 # ---------------------------------------------------------------------------

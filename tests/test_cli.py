@@ -291,9 +291,8 @@ def _trial_primes():
 # end one.  Each decimal block of 10**4 numbers is its own text: 9999 and
 # 99999 end one, 10001 = 73 * 137 and 100001 = 11 * 9091 end on a block
 # that holds no prime and prints nothing.  pi(N) = 4095, 4096 and 4097 at
-# 38872, 38873 and 38891; 0, 1 and 2 print no line or one.  31 strikes
-# with a tile and 37 through the flag bytes (sieve._TILE_BELOW = 32): each
-# starts at its square.
+# 38872, 38873 and 38891; 0, 1 and 2 print no line or one.  961 = 31**2
+# and 1369 = 37**2 are the first strikes of two primes.
 @pytest.mark.parametrize("bound", [0, 1, 2, 38872, 38873, 38891,
                                    65536, 65537, 131072, 131073,
                                    960, 961, 962, 1368, 1369, 1370,

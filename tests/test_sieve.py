@@ -5,7 +5,8 @@ import pytest
 from bitsudoku import sieve
 from bitsudoku.sieve import BitArray, prime_text, primes_up_to
 
-from oracles import is_prime_by_trial_division, primes_by_trial_division
+from oracles import (is_prime_by_trial_division, primes_by_plain_sieve,
+                     primes_by_trial_division)
 
 
 def test_one_is_not_a_prime():
@@ -37,12 +38,23 @@ def test_output_is_strictly_increasing_and_above_one():
     assert all(is_prime_by_trial_division(p) for p in ps[:100])
 
 
-# One trial-division list, read by prefix: it covers the edges below.
-REFERENCE = primes_by_trial_division(200_001)
+# One trial-division list, read by prefix: it covers the edges below
+# TRIAL_BOUND.  The plain sieve, checked against it, covers those above.
+TRIAL_BOUND = 200_001
+REFERENCE = primes_by_trial_division(TRIAL_BOUND)
+PLAIN = primes_by_plain_sieve(10**6 + 1)
 
 
 def _reference_up_to(n):
-    return REFERENCE[:bisect_right(REFERENCE, n)]
+    reference = REFERENCE if n <= TRIAL_BOUND else PLAIN
+    return reference[:bisect_right(reference, n)]
+
+
+def test_plain_sieve_matches_trial_division():
+    for n in range(0, 101):
+        assert primes_by_plain_sieve(n) == _reference_up_to(n)
+    assert PLAIN[:len(REFERENCE)] == REFERENCE
+    assert PLAIN[len(REFERENCE)] > TRIAL_BOUND
 
 
 def test_matches_trial_division_for_every_small_bound():
@@ -59,12 +71,16 @@ def test_matches_trial_division_around_prime_squares():
 
 @pytest.mark.parametrize("n", [*range(65533, 65539), *range(131069, 131075),
                                9999, 10000, 10001, 99999, 100000, 100001,
-                               199999, 200000, 200001])
+                               199999, 200000, 200001,
+                               *(10**5 * s + d for s in range(3, 11)
+                                 for d in (0, 1))])
 def test_matches_trial_division_at_segment_edges(n):
-    # Segments are 10**5 numbers wide: 100001 and 200001 start the second
-    # and third.  Blocks are 10**4 wide, and 10001 = 73 * 137 and
-    # 100001 = 11 * 9091 each end on a block that holds no prime.  The
-    # range rows are the edges of 2**15-bit segments, an earlier width.
+    # Segments are 10**5 numbers wide: 10**5*s + 1 starts segment s + 1,
+    # so 100001 and 200001 start the second and third, and 10**6 + 1 the
+    # eleventh; the rows past TRIAL_BOUND read the plain sieve.  Blocks
+    # are 10**4 wide, and 10001 = 73 * 137 and 100001 = 11 * 9091 each end
+    # on a block that holds no prime.  The range rows are the edges of
+    # 2**15-bit segments, an earlier width.
     assert primes_up_to(n) == _reference_up_to(n)
 
 
@@ -80,6 +96,11 @@ def test_one_million():
     ps = primes_up_to(10**6)
     assert len(ps) == 78498
     assert ps[0] == 2 and ps[-1] == 999983
+
+
+def test_matches_plain_sieve_at_ten_million():
+    # 100 segments: each small prime starts striking at many phases.
+    assert primes_up_to(10**7) == primes_by_plain_sieve(10**7)
 
 
 # Each bound is above sys.maxsize (2**63 - 1 on 64-bit builds), so the
