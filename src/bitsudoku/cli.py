@@ -1,11 +1,13 @@
 """Command-line front end: solve, count, check, and sieve subcommands.
 
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 for a solution,
-a valid grid or a finished sieve; 1 for none or an invalid grid; 2 for parse
-and usage errors, unreadable or non-UTF-8 input (a closed stdin included),
-a sieve bound above sys.maxsize, and a stdout that is closed or cannot be
-written, --help's included; 141 (128 + SIGPIPE) when the reader closes
-stdout early, as `sieve N | head` does.
+A puzzle file and stdin alike are read as bytes and decoded once, strictly
+as UTF-8; parse() splits the lines.  Results go to stdout, diagnostics to
+stderr.  Exit codes: 0 for a solution, a valid grid or a finished sieve;
+1 for none or an invalid grid; 2 for parse and usage errors, unreadable or
+non-UTF-8 input (a closed stdin included), a sieve bound above
+sys.maxsize, and a stdout that is closed or cannot be written, --help's
+included; 141 (128 + SIGPIPE) when the reader closes stdout early, as
+`sieve N | head` does.
 
 The command line is read as argparse read it, from one table of each
 subcommand's options, without importing argparse: the subcommand comes
@@ -54,7 +56,7 @@ options:
   -h, --help            show this help message and exit
 """
 _TOP_HELP = """
-Solve, count, and check n^2 x n^2 Sudoku puzzles; list primes with a bit-array
+Solve, count, and check n^2 x n^2 Sudoku puzzles; list primes with a segmented
 sieve.
 
 positional arguments:
@@ -119,14 +121,14 @@ def _option(token: str, names: tuple[str, ...]) -> tuple | None:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        if sys.stdin is None:           # started with fd 0 closed
-            raise OSError("stdin is closed")
-        # Decode stdin's bytes strictly as UTF-8, as a file is, whatever
-        # its text encoding.
-        return sys.stdin.buffer.read().decode()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    if path != "-":
+        with open(path, "rb") as fh:
+            data = fh.read()
+    elif sys.stdin is None:             # started with fd 0 closed
+        raise OSError("stdin is closed")
+    else:
+        data = sys.stdin.buffer.read()
+    return data.decode()                # strictly UTF-8, whatever the route
 
 
 def _ascii_int(text: str) -> int:

@@ -7,7 +7,8 @@ array is ordinary 0-based storage.  Cell (i, j) lies in block (k, l) with
 
 unit_scan reads the clues at C speed: each unit's word is the sum of one
 slice of the cells' bits, and only a board whose sums lose bits to a
-carry is walked unit by unit to name its first repeat.
+carry is walked unit by unit to name its first repeat.  A raw cell above
+n² has no bit and one below 0 fails the bytearray that counts the clues.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .smallset import _Record
 
 MIN_ORDER = 2
 MAX_ORDER = 5
+# The value of each classic clue character; _parse_classic skips whitespace.
+_CLASSIC = {".": 0, **{str(v): v for v in range(10)}}
 
 
 class IncompleteGridError(ValueError):
@@ -50,8 +53,8 @@ class Grid(_Record):
     """Cell storage for one board; `cells[r][c]` is 0-based raw access.
 
     A raw write to `cells` must be an int in [0, n²]: solve and check
-    assume it, and set_value enforces it.  Two grids are == when their
-    order and cells are; grids are mutable and unhashable.
+    refuse anything else, and set_value enforces it.  Two grids are ==
+    when their order and cells are; grids are mutable and unhashable.
     """
 
     _fields = ("order", "cells")
@@ -169,8 +172,10 @@ def unit_scan(order: int, cells: list[int]
     bits = [bit[v] for v in cells]
     bits += block_major(bits)
     words = list(map(sum, map(bits.__getitem__, units)))
-    if sum(map(int.bit_count, words)) == 3 * (len(cells) - cells.count(0)):
+    clues = len(cells) - bytearray(cells).count(0)
+    if sum(map(int.bit_count, words)) == 3 * clues:
         return words, None
+    # Every cell is in [0, n²] here, so a repeat lost bits: name the first.
     values = cells + list(block_major(cells))
     m = order * order
     for u, unit in enumerate(units):
@@ -179,7 +184,6 @@ def unit_scan(order: int, cells: list[int]
             if v in seen:
                 return None, (("row", "column", "block")[u // m], u % m + 1, v)
             seen.add(v)
-    raise ValueError(f"cell values outside [0, {m}]")
 
 
 def first_conflict(g: Grid) -> tuple[str, int, int] | None:
@@ -220,13 +224,9 @@ def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
             f"order {order} outside [{MIN_ORDER}, {MAX_ORDER}]", lineno)
     m = order * order
     body = significant[1:]
-    if len(body) < m:
-        raise PuzzleFormatError(
-            f"expected {m} rows, found {len(body)}",
-            significant[-1][0])
-    if len(body) > m:
-        raise PuzzleFormatError(
-            f"expected {m} rows, found {len(body)}", body[m][0])
+    if len(body) != m:      # at the first extra row, or the last row read
+        raise PuzzleFormatError(f"expected {m} rows, found {len(body)}",
+                                (body[m:] or significant[-1:])[0][0])
 
     cells = []
     values = _text_tables(order)[1]
@@ -267,13 +267,10 @@ def _parse_classic(significant: list[tuple[int, str]]) -> Grid:
     values = []
     for lineno, raw in significant:
         for col, ch in enumerate(raw, start=1):
-            if ch.isspace():
-                continue
-            if ch in "0.":
-                values.append(0)
-            elif ch in "123456789":
-                values.append(int(ch))
-            else:
+            v = _CLASSIC.get(ch)
+            if v is not None:
+                values.append(v)
+            elif not ch.isspace():
                 raise PuzzleFormatError(
                     f"character {ch!r} is not a clue digit, '0', or '.'",
                     lineno, col)

@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bitsudoku",
         description="Solve, count, and check n^2 x n^2 Sudoku puzzles; "
-                    "list primes with a bit-array sieve.")
+                    "list primes with a segmented sieve.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, summary in (
             ("solve", "print the first solution or UNSOLVABLE"),

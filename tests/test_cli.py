@@ -162,6 +162,27 @@ def test_stdin_rejects_the_bytes_a_file_rejects(tmp_path, capsys):
     assert proc.stderr.decode() == file_err
 
 
+@pytest.mark.parametrize("data", [
+    b"# mixed breaks\r\n2\r1 0 0 0\r\n0 0 0 0\r0 0 0 0\r\n0 0 0 0\r",
+    "2\n0 0 0 0\u20280 0 x 0\n0 0 0 0\n0 0 0 0\n".encode(),
+    "\r\n".join(CLASSIC_81[r * 9:(r + 1) * 9] for r in range(9)).encode(),
+], ids=["crlf-and-cr", "u2028-then-malformed", "classic-crlf"])
+def test_file_and_stdin_read_line_breaks_alike(tmp_path, capsys, data):
+    path = tmp_path / "breaks.txt"
+    path.write_bytes(data)
+    file_code = main(["count", "--stats", str(path)])
+    file_out, file_err = capsys.readouterr()
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bitsudoku", "count", "--stats", "-"],
+        input=data, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == file_code
+    assert proc.stdout.decode() == file_out
+    assert proc.stderr.decode() == file_err
+
+
 def test_stdin_is_decoded_as_utf8_whatever_its_text_encoding():
     data = b"# caf\xe9\n" + EMPTY_4.encode()
     src = Path(__file__).resolve().parents[1] / "src"

@@ -22,7 +22,7 @@ from bitsudoku import cli
 
 from oracles import parse_cli_args
 
-TOP_HELP = "5e5764da1cc3d7a9"
+TOP_HELP = "3a261e2088449e29"
 SOLVE_HELP = "1863cfd53065e57d"
 
 ARGV = {

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from bitsudoku.grid import Grid, is_sudoku_matrix
+from bitsudoku.grid import Grid, first_conflict, is_sudoku_matrix
 from bitsudoku.smallset import SmallSet
 from bitsudoku.solver import (
     FEWEST_CANDIDATES,
@@ -21,6 +21,7 @@ from oracles import (
     brute_force_count,
     brute_force_solutions,
     delete_cells,
+    pattern_grid,
     ref_solve,
     shuffled_valid_grid,
 )
@@ -381,6 +382,29 @@ def test_solve_rejects_inconsistent_grid():
     cells[1][2] = 2
     with pytest.raises(ConflictError):
         solve(grid4(cells))
+
+
+def _outside(n):
+    m = n * n
+    return [(n, v) for v in (-1, -m, -(m + 1), m + 1, 255, 256)]
+
+
+@pytest.mark.parametrize("n, v", _outside(2) + _outside(5))
+def test_raw_cells_outside_the_range_raise(n, v):
+    """A raw write that set_value would refuse reaches no answer: solve and
+    check raise on it rather than read it as some other value.  One value
+    on a blank board repeats nothing, so a ConflictError would be wrong."""
+    m = n * n
+    blank = Grid(n, [[0] * m for _ in range(m)])
+    blank.cells[1][2] = v
+    complete = Grid(n, pattern_grid(n))
+    complete.cells[1][2] = v
+    for call in (lambda: solve(blank, limit=1), lambda: init_state(blank),
+                 lambda: first_conflict(blank),
+                 lambda: is_sudoku_matrix(complete)):
+        with pytest.raises((ValueError, IndexError)) as err:
+            call()
+        assert not isinstance(err.value, ConflictError)
 
 
 def _seeded_puzzles():
