@@ -27,10 +27,20 @@ after it in the same token, so -hh is an error.
 `sieve N` writes the decimal text that `sieve.prime_text` makes, one
 segment of 10**5 numbers per write, so neither a list of the primes nor
 an int per number is made.
+
+A process, `python -m bitsudoku` or the `bitsudoku` script, ends through
+entry(): main()'s code, with the collector frozen on the way out, so the
+collections at interpreter exit skip their walk over every object alive
+by then.  Only that walk is skipped: exit handlers, the flushing of stdout
+and stderr and every exit code stay.  The process is not cut short from
+inside, which would skip those and the finally of a caller that runs
+__main__ under runpy; nor does main() freeze, as a caller may run it many
+times in one process.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -281,3 +291,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 2
     return code
+
+
+def entry() -> int:
+    """The process entry of `python -m bitsudoku` and the `bitsudoku`
+    script: main()'s exit code, with every object alive by then frozen so
+    the collections at interpreter exit do not walk them."""
+    try:
+        return main()
+    finally:
+        gc.freeze()

@@ -161,7 +161,7 @@ def test_criterion_4_propagation_only_puzzle_needs_no_trials():
 def test_criterion_5_contradiction_witness(tmp_path, capsys):
     """The hand-computed contradiction board (row 1 missing only 1, with
     a 1 already below in column 1) has zero solutions and exits 1."""
-    g = parse(WITNESS_4).to_grid()
+    g = parse(WITNESS_4).copy()
     state = init_state(g)
     # hand intersection: {1} & {2,3,4} & {3,4} = {}
     assert state.row_missing[0] == SmallSet.from_elements([1], 4)
@@ -236,7 +236,7 @@ def test_criterion_7_byte_identical_reruns(tmp_path, capsys):
 def test_criterion_8_performance_sanity():
     """A published-difficulty 9x9 puzzle solves in under 50 ms and the
     full 288-solution count of the blank 4x4 board takes under 1 s."""
-    nine = parse(CLASSIC_81).to_grid()
+    nine = parse(CLASSIC_81).copy()
     started = time.perf_counter()
     report = solve(nine)
     nine_ms = (time.perf_counter() - started) * 1000

@@ -1,3 +1,4 @@
+import gc
 import io
 import os
 import random
@@ -21,6 +22,7 @@ from oracles import (CLASSIC_81, INVALID_4, clues, delete_cells,
 EMPTY_4 = "2\n" + "0 0 0 0\n" * 4
 COMPLETE_4 = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
 WITNESS_4 = "2\n0 2 3 4\n1 0 0 0\n0 0 0 0\n0 0 0 0\n"
+REPEATED_4 = "2\n1 0 0 1\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
 
 
 @pytest.fixture
@@ -73,7 +75,7 @@ def test_solve_output_reparses_as_valid_grid(puzzle_file, capsys):
     code = main(["solve", puzzle_file(CLASSIC_81)])
     out = capsys.readouterr().out
     assert code == 0
-    solved = parse(out).to_grid()
+    solved = parse(out).copy()
     assert is_sudoku_matrix(solved)
     original = parse(CLASSIC_81)
     for i, j, v in clues(original):
@@ -530,6 +532,42 @@ def test_cli_process_loads_no_argument_parser(argv):
     loaded = set(proc.stderr.rsplit(b"LOADED ", 1)[1].decode().split())
     assert "bitsudoku.cli" in loaded
     assert loaded.isdisjoint({"argparse", "gettext", "locale"})
+
+
+def _main_code(argv):
+    """In-process main()'s exit code, a usage error's SystemExit included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# The process entry returns to whatever ran `__main__`, so a wrapper's
+# finally still runs (the benchmark reads its peak RSS there) and the
+# process ends with main()'s code.
+@pytest.mark.parametrize("text, argv, code", [
+    (EMPTY_4, ["solve"], 0),
+    (REPEATED_4, ["solve"], 1),
+    (EMPTY_4, ["solve", "--cap", "x"], 2),      # usage error: SystemExit
+], ids=["solved", "unsolvable", "usage-error"])
+def test_process_entry_returns_to_its_caller(puzzle_file, capsys, text,
+                                             argv, code):
+    path = puzzle_file(text)
+    assert _main_code(argv + [path]) == code
+    expected = capsys.readouterr().out.encode()
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv, path],
+                          capture_output=True, env=env, timeout=60)
+    assert b"\nLOADED " in proc.stderr
+    assert proc.returncode == code
+    assert proc.stdout == expected
+
+
+def test_main_in_process_does_not_freeze_the_collector(puzzle_file, capsys):
+    before = gc.get_freeze_count()
+    assert main(["count", puzzle_file(EMPTY_4)]) == 0
+    assert gc.get_freeze_count() == before
 
 
 FUZZ_COMMANDS = (["solve", "-"], ["check", "-"],

@@ -506,6 +506,54 @@ def test_branch_policies_agree_on_count():
         assert a.solution_count == b.solution_count
 
 
+def _solution_set(report):
+    return sorted(s.cells for s in report.solutions)
+
+
+# Orders 4-5 use the first-large blank ranges, where every exhaustive count
+# takes milliseconds; wider ranges reach boards with no bound on their work.
+@pytest.mark.parametrize("order, blanks, branch", [
+    (2, (4, 16), FEWEST_CANDIDATES), (2, (4, 16), FIRST_BLANK),
+    (3, (44, 54), FEWEST_CANDIDATES), (3, (44, 54), FIRST_BLANK),
+    (4, (100, 120), FEWEST_CANDIDATES), (5, (200, 250), FEWEST_CANDIDATES),
+])
+def test_relabelled_and_transposed_boards_keep_their_count(order, blanks,
+                                                            branch):
+    """An exhaustive count tries every value at each branch cell, and both
+    policies pick that cell by position and candidate count alone, so a
+    relabelling of the digits keeps the whole search tree: count, trials,
+    passes and root event, with the solutions relabelled.  A transposed
+    board keeps its count and its solution set, transposed; its passes
+    may differ, since the sweep is row-major."""
+    m = order * order
+    rng = random.Random(2012 + order)
+    counts = []
+    for _ in range(30):
+        puzzle = delete_cells(shuffled_valid_grid(order, rng),
+                              rng.randint(*blanks), rng)
+        relabel = [0] + rng.sample(range(1, m + 1), m)
+        base = solve(Grid(order, puzzle), cap=10 ** 6, branch=branch)
+        counts.append(base.solution_count)
+
+        moved = solve(Grid(order, [[relabel[v] for v in row]
+                                   for row in puzzle]),
+                      cap=10 ** 6, branch=branch)
+        assert (moved.solution_count, moved.trials, moved.propagation_passes,
+                moved.terminal_event) == (base.solution_count, base.trials,
+                                          base.propagation_passes,
+                                          base.terminal_event)
+        assert _solution_set(moved) == sorted(
+            [[relabel[v] for v in row] for row in s.cells]
+            for s in base.solutions)
+
+        turned = solve(Grid(order, [list(col) for col in zip(*puzzle)]),
+                       cap=10 ** 6, branch=branch)
+        assert turned.solution_count == base.solution_count
+        assert _solution_set(turned) == sorted(
+            [list(col) for col in zip(*s.cells)] for s in base.solutions)
+    assert max(counts) > 1
+
+
 def test_trials_zero_when_propagation_decides():
     cells = [row[:] for row in COMPLETE_4]
     cells[0][0] = 0
