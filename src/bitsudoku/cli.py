@@ -14,8 +14,10 @@ subcommand's options, without importing argparse: the subcommand comes
 first, after at most -h/--help; options and the one positional follow in
 any order, the last of a repeated option winning.  `--opt V` and
 `--opt=V` both give a value, a unique prefix names an option (`--form`)
-and `--` ends the options; a token starting with - is an unknown option
-unless it is -, -5 and the like, holds a space or is an option's value.
+and `--` ends the options, but one after the positional with an option
+between them is an unrecognized argument (`solve x --stats --`); a
+token starting with - is an unknown option unless it is -, -5 and the
+like, holds a space or is an option's value.
 A bad value fails at once, so `solve --cap x -h` is a usage error and
 `solve -h --cap x` prints help; an unknown option or a second positional
 fails once the line is read.  A usage error writes the usage line and
@@ -170,11 +172,16 @@ def _value(cmd: str, name: str, text: str) -> int | str:
 def _parse(argv: list[str]) -> _Args:
     """Read one command line as the module docstring states."""
     args, cmd, names, value, extras = _Args(), None, ("--help",), None, []
-    tokens, ended = iter(argv), False
+    tokens, ended, last = iter(argv), False, None
     for token in tokens:
         if token == "--" and cmd and not ended:
             ended = True
+            # argparse reads a `--` after the positional as part of it only
+            # when nothing stands between them; otherwise it is left over.
+            if value is not None and last is not value:
+                extras.append(token)
             continue
+        last = None
         found = not ended and token != "--" and _option(token, names)
         if not found and cmd is None:
             if token not in _COMMANDS:
@@ -183,7 +190,8 @@ def _parse(argv: list[str]) -> _Args:
             cmd = args.subcommand = token
             names = _COMMANDS[cmd][0]
         elif not found and value is None:
-            value = _value(cmd, "N", token) if cmd == "sieve" else token
+            value = last = (_value(cmd, "N", token) if cmd == "sieve"
+                            else token)
         elif not found or not found[0]:
             extras.append(token)
         elif found[0] in ("--help", "--stats") and found[1] is not None:

@@ -9,6 +9,12 @@ unit_scan reads the clues at C speed: each unit's word is the sum of one
 slice of the cells' bits, and only a board whose sums lose bits to a
 carry is walked unit by unit to name its first repeat.  A raw cell above
 n² has no bit and one below 0 fails the bytearray that counts the clues.
+
+Text goes in and out through per-order tables.  parse looks every token
+of a generic document up at once and falls back to reading row by row,
+which names the first fault, only when a token or a row length is off;
+render looks each value up in a table of tokens keyed by value, so a
+cell outside 0..n² raises there, as solve and check refuse it.
 """
 
 from __future__ import annotations
@@ -112,13 +118,15 @@ class Grid(_Record):
 
 
 @cache
-def _text_tables(order: int) -> tuple[dict[int, int], dict[str, int], str]:
+def _text_tables(order: int) -> tuple[dict[int, int], dict[str, int],
+                                      dict[int, str]]:
     """Each cell value 0..n² to itself, so a lookup by any equal value
-    gives the int; each canonical token "0".."n²" to its value; and the
-    %-format of a generic rendering: order line, then n² rows."""
+    gives the int; each canonical token "0".."n²" to its value; and each
+    value to its token, which a lookup by True, -0.0 or 2.0 finds as %d
+    writes it."""
     m = order * order
     return ({v: v for v in range(m + 1)}, {str(v): v for v in range(m + 1)},
-            f"{order}\n" + ("%d " * (m - 1) + "%d\n") * m)
+            {v: str(v) for v in range(m + 1)})
 
 
 @cache
@@ -228,20 +236,22 @@ def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
         raise PuzzleFormatError(f"expected {m} rows, found {len(body)}",
                                 (body[m:] or significant[-1:])[0][0])
 
-    cells = []
     values = _text_tables(order)[1]
-    for lineno, line in body:
-        tokens = line.split()
+    rows = [line.split() for _, line in body]
+    # One lookup per token converts and range-checks a canonical document;
+    # any other token or row length is judged row by row below.
+    if set(map(len, rows)) == {m}:
+        flat = list(map(values.get, chain.from_iterable(rows)))
+        if None not in flat:
+            return Grid._adopt(order, [flat[i:i + m]
+                                       for i in range(0, m * m, m)])
+    cells = []
+    for (lineno, _), tokens in zip(body, rows):
         if len(tokens) != m:
             raise PuzzleFormatError(
                 f"expected {m} values per row, found {len(tokens)}", lineno)
-        # One lookup converts and range-checks a canonical token; a row
-        # holding any other token is judged token by token.
-        row = list(map(values.get, tokens))
-        if None in row:
-            row = [_value(token, m, lineno, col)
-                   for col, token in enumerate(tokens, start=1)]
-        cells.append(row)
+        cells.append([_value(token, m, lineno, col)
+                      for col, token in enumerate(tokens, start=1)])
     return Grid._adopt(order, cells)
 
 
@@ -282,14 +292,18 @@ def _parse_classic(significant: list[tuple[int, str]]) -> Grid:
 
 
 def render(board: Grid, fmt: str = "generic") -> str:
-    """Serialize a board, each value with %d; blanks come out as 0.
+    """Serialize a board, each value as a decimal integer; blanks come out
+    as 0.
 
     "generic" works for any order; "classic" is the 81-character single
-    line and is only defined for order 3.
+    line and is only defined for order 3.  A generic board's values are
+    looked up in a table of the tokens "0".."n²", so a cell outside 0..n²
+    raises KeyError (TypeError if unhashable).
     """
     if fmt == "generic":
-        return (_text_tables(board.order)[2]
-                % tuple(chain.from_iterable(board.cells)))
+        token = _text_tables(board.order)[2].__getitem__
+        rows = [" ".join(map(token, row)) for row in board.cells]
+        return f"{board.order}\n" + "\n".join(rows) + "\n"
     if fmt == "classic":
         if board.order != 3:
             raise ValueError("classic format requires an order-3 board")

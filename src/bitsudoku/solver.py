@@ -19,12 +19,15 @@ deepest frame with values left restores them after a dead end or a
 solution, so propagation must replace the open list, never mutate it.
 The sweep itself is one private function on bare lists, _sweep: solve
 calls it on its own locals, and propagate wraps it for a SolverState.
+A placement clears its value's bit by XOR, which is exact only because
+the bit is known to be in all three words.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
+from functools import cache
+from itertools import chain, compress
 
 from .grid import Grid, cell_index, unit_scan, unit_table
 from .smallset import SmallSet, _Record
@@ -132,6 +135,16 @@ class SolveReport(_Record):
         self.terminal_event = terminal_event
         self.truncated = truncated
 
+# A bytes.translate table: a blank cell's byte 0 to 1, any clue to 0.
+_BLANK = bytes([1]) + bytes(255)
+
+
+@cache
+def _indices(order: int) -> tuple[int, ...]:
+    """The flat indices 0..m²-1, made once: a range would make each
+    index above 256 anew on every read."""
+    return tuple(range(order ** 4))
+
 
 def init_state(g: Grid) -> SolverState:
     """Build the missing-value words and open list for a grid.
@@ -145,9 +158,12 @@ def init_state(g: Grid) -> SolverState:
         raise ConflictError(f"{kind} {index} contains {value} more than once")
     # AND with the complement, never XOR: a toggle would put back a
     # value that is already absent.
-    words = [((1 << g.side) - 1) & ~w for w in held]
+    full = (1 << g.side) - 1
+    words = [full & ~w for w in held]
+    # unit_scan refused any cell outside 0..n², so each is one byte.
+    blank = bytearray(cells).translate(_BLANK)
     return SolverState(g.order, cells, words,
-                       [k for k, v in enumerate(cells) if not v])
+                       list(compress(_indices(g.order), blank)))
 
 
 def candidates(state: SolverState, i: int, j: int) -> SmallSet:
@@ -206,10 +222,12 @@ def _sweep(cells: list[int], words: list[int],
             if p & (p - 1):             # two or more candidates
                 survivors.append(k)
             elif p:                     # a single candidate: place it
+                # p is the AND of the three words, so its bit is in each
+                # and XOR clears just that bit, with no inverted int.
                 cells[k] = p.bit_length()
-                words[a] &= ~p
-                words[b] &= ~p
-                words[c] &= ~p
+                words[a] ^= p
+                words[b] ^= p
+                words[c] ^= p
                 placed += 1
             else:
                 # Every cell before k either survived or was placed.
@@ -299,10 +317,12 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
         if untried:
             stack.append((untried, k, saved_words, rest))
         trials += 1
+        # bit is in all three words: untried is a subset of their AND, taken
+        # on the words a popped frame has just restored.  So XOR clears it.
         cells[k] = bit.bit_length()
-        words[a] &= ~bit
-        words[b] &= ~bit
-        words[c] &= ~bit
+        words[a] ^= bit
+        words[b] ^= bit
+        words[c] ^= bit
         open_, event, passes = _sweep(cells, words, units, rest)
         passes_total += passes
     return SolveReport(solution_count=count, solutions=solutions,

@@ -3,9 +3,9 @@
 Everything here is deliberately naive and shares no code with the package
 under test: set algebra over explicit element lists, unit scans over
 explicit value lists, propagation-free backtracking over raw cell arrays,
-the solver's sweep and search restated over sets, trial-division
-primality, an unsegmented Eratosthenes over every number, and argparse for
-the command line.
+Knuth's Algorithm X over a board's exact-cover columns, the solver's sweep
+and search restated over sets, trial-division primality, an unsegmented
+Eratosthenes over every number, and argparse for the command line.
 """
 
 import argparse
@@ -106,6 +106,78 @@ def brute_force_solutions(order: int, cells: list[list[int]],
 def brute_force_count(order: int, cells: list[list[int]],
                       limit: int | None = None) -> int:
     return len(brute_force_solutions(order, cells, limit))
+
+
+# ---------------------------------------------------------------------------
+# Exact cover by Knuth's Algorithm X (arXiv cs/0011047), on dicts of sets
+# ---------------------------------------------------------------------------
+
+def exact_cover_solutions(order: int,
+                          cells: list[list[int]]) -> list[list[list[int]]]:
+    """Every completion of the puzzle, sorted, as the exact covers of its
+    4m² columns: each cell filled once, and each value once in each row,
+    column and block.  Choice (r, c, v) covers one column of each kind.
+    Algorithm X branches on a column with the fewest choices left; the
+    clues are chosen first, and a clue whose column is already covered
+    leaves no solution."""
+    m = order * order
+    choices = {}
+    for r in range(m):
+        for c in range(m):
+            b = r // order * order + c // order
+            for v in range(1, m + 1):
+                choices[r, c, v] = (("cell", r, c), ("row", r, v),
+                                    ("column", c, v), ("block", b, v))
+    columns = {}
+    for choice, covered in choices.items():
+        for col in covered:
+            columns.setdefault(col, set()).add(choice)
+
+    def select(choice):
+        removed = []
+        for col in choices[choice]:
+            for other in columns[col]:
+                for col2 in choices[other]:
+                    if col2 != col:
+                        columns[col2].remove(other)
+            removed.append(columns.pop(col))
+        return removed
+
+    def deselect(choice, removed):
+        for col in reversed(choices[choice]):
+            columns[col] = removed.pop()
+            for other in columns[col]:
+                for col2 in choices[other]:
+                    if col2 != col:
+                        columns[col2].add(other)
+
+    partial = []
+    for r, row in enumerate(cells):
+        for c, v in enumerate(row):
+            if v:
+                if any(col not in columns for col in choices[r, c, v]):
+                    return []
+                select((r, c, v))
+                partial.append((r, c, v))
+    found = []
+
+    def search():
+        if not columns:
+            board = [[0] * m for _ in range(m)]
+            for r, c, v in partial:
+                board[r][c] = v
+            found.append(board)
+            return
+        col = min(columns, key=lambda col: len(columns[col]))
+        for choice in sorted(columns[col]):
+            removed = select(choice)
+            partial.append(choice)
+            search()
+            partial.pop()
+            deselect(choice, removed)
+
+    search()
+    return sorted(found)
 
 
 def ref_solve(order: int, cells: list[list[int]], limit: int | None = None,

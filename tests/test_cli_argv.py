@@ -65,6 +65,7 @@ ARGV = {
     "solve -- -x": (0, "solve", "generic", False, 1, None, "-x"),
     "solve -- -h": (0, "solve", "generic", False, 1, None, "-h"),
     "solve x --": (0, "solve", "generic", False, 1, None, "x"),
+    "solve x --stats --": (2,),
     "solve -- x y": (2,),
     "solve -5": (0, "solve", "generic", False, 1, None, "-5"),
     "solve -x": (2,),

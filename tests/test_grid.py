@@ -431,6 +431,20 @@ def test_render_writes_each_value_as_an_integer():
     assert render(classic, "classic") == "10" + CLASSIC_81[2:] + "\n"
 
 
+@pytest.mark.parametrize("value, error", [(2.5, KeyError), (99, KeyError),
+                                          (-1, KeyError), ("3", KeyError),
+                                          (None, KeyError), ([1], TypeError)])
+def test_render_refuses_a_cell_outside_the_range(value, error):
+    """A raw cell that is not one of 0..n² has no token, as solve and
+    check refuse it."""
+    for order in (2, 5):
+        m = order * order
+        g = Grid(order, [[0] * m for _ in range(m)])
+        g.cells[m - 1][m - 1] = value
+        with pytest.raises(error):
+            render(g)
+
+
 def test_render_matches_reference_on_seeded_boards():
     rng = random.Random(20261018)
     for order in (2, 3, 4, 5):
@@ -495,6 +509,52 @@ def test_parse_agrees_with_per_token_reference(order):
             assert parse(text) == Grid(order, cells)
             outcomes.add("accepted")
     assert outcomes == {"accepted", "malformed", "value"}
+
+
+def _ref_first_fault(order, rows):
+    """The text of the error parse() gives for these body rows, read row by
+    row: a row of the wrong length, else its first bad token; None if
+    every row is sound.  The rows start on line 2."""
+    m = order * order
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != m:
+            return (f"expected {m} values per row, found {len(row)} "
+                    f"(line {lineno})")
+        for col, token in enumerate(row, start=1):
+            message = ref_token(token, m)[1]
+            if message:
+                return f"{message} (line {lineno}, column {col})"
+    return None
+
+
+@pytest.mark.parametrize("order", [2, 5])
+def test_parse_reports_the_first_of_two_faults(order):
+    """A document with an odd token in one row and a row of the wrong
+    length in another, or with one row a token short and another a
+    canonical token long, fails as the row-by-row reference reads it,
+    whichever fault comes first."""
+    m = order * order
+    rng = random.Random(100 + order)
+    firsts = set()
+    for t in range(80):
+        rows = [[str(rng.randint(0, m)) for _ in range(m)] for _ in range(m)]
+        a, b = rng.sample(range(m), 2)
+        if t % 3 == 0:      # m² tokens in all, every one canonical
+            rows[a].pop()
+            rows[b].append(str(rng.randint(0, m)))
+        else:
+            rows[a][rng.randrange(m)] = rng.choice(ODD_TOKENS)
+            if t % 3 == 1:
+                rows[b] = rows[b][:rng.randrange(1, m)]
+            else:
+                rows[b].append(str(rng.randint(0, m)))
+        text = f"{order}\n" + "".join(" ".join(r) + "\n" for r in rows)
+        expected = _ref_first_fault(order, rows)
+        with pytest.raises(PuzzleFormatError) as err:
+            parse(text)
+        assert str(err.value) == expected
+        firsts.add(expected.split()[0])
+    assert firsts == {"expected", "malformed", "value"}
 
 
 # Mostly canonical 4x4 rows, so that some documents parse; the free text

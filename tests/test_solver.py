@@ -21,6 +21,7 @@ from oracles import (
     brute_force_count,
     brute_force_solutions,
     delete_cells,
+    exact_cover_solutions,
     pattern_grid,
     ref_solve,
     shuffled_valid_grid,
@@ -510,6 +511,33 @@ def _solution_set(report):
     return sorted(s.cells for s in report.solutions)
 
 
+def _geometry_moves(order, rng):
+    """(name, row order, column order) for a permutation of the bands, of
+    the stacks, of the rows within each band and of the columns within
+    each stack; none is the identity."""
+    m = order * order
+
+    def not_identity(perm_of):
+        while True:
+            perm = perm_of()
+            if perm != list(range(m)):
+                return perm
+
+    def groups():
+        bands = rng.sample(range(order), order)
+        return [b * order + i for b in bands for i in range(order)]
+
+    def within():
+        return [b * order + i for b in range(order)
+                for i in rng.sample(range(order), order)]
+
+    same = list(range(m))
+    return [("bands", not_identity(groups), same),
+            ("stacks", same, not_identity(groups)),
+            ("rows", not_identity(within), same),
+            ("columns", same, not_identity(within))]
+
+
 # Orders 4-5 use the first-large blank ranges, where every exhaustive count
 # takes milliseconds; wider ranges reach boards with no bound on their work.
 @pytest.mark.parametrize("order, blanks, branch", [
@@ -523,12 +551,16 @@ def test_relabelled_and_transposed_boards_keep_their_count(order, blanks,
     policies pick that cell by position and candidate count alone, so a
     relabelling of the digits keeps the whole search tree: count, trials,
     passes and root event, with the solutions relabelled.  A transposed
-    board keeps its count and its solution set, transposed; its passes
-    may differ, since the sweep is row-major."""
+    board, or one whose bands, stacks, or rows or columns within them are
+    permuted, keeps its count and its solution set, moved the same way;
+    its passes may differ, since the sweep is row-major.  Each board gets
+    one of the four permutations in turn."""
     m = order * order
     rng = random.Random(2012 + order)
+    geometry = random.Random(-order)     # leaves the boards rng draws alone
     counts = []
-    for _ in range(30):
+    moves = set()
+    for t in range(30):
         puzzle = delete_cells(shuffled_valid_grid(order, rng),
                               rng.randint(*blanks), rng)
         relabel = [0] + rng.sample(range(1, m + 1), m)
@@ -551,7 +583,45 @@ def test_relabelled_and_transposed_boards_keep_their_count(order, blanks,
         assert turned.solution_count == base.solution_count
         assert _solution_set(turned) == sorted(
             [list(col) for col in zip(*s.cells)] for s in base.solutions)
+
+        name, rows, cols = _geometry_moves(order, geometry)[t % 4]
+        moves.add(name)
+        shifted = solve(Grid(order, [[puzzle[r][c] for c in cols]
+                                     for r in rows]),
+                        cap=10 ** 6, branch=branch)
+        assert shifted.solution_count == base.solution_count, name
+        assert _solution_set(shifted) == sorted(
+            [[s.cells[r][c] for c in cols] for r in rows]
+            for s in base.solutions), name
     assert max(counts) > 1
+    assert moves == {"bands", "stacks", "rows", "columns"}
+
+
+@pytest.mark.parametrize("order, blanks, boards", [
+    (2, (4, 16), 20), (3, (44, 54), 8), (4, (100, 120), 6),
+    (5, (200, 250), 6),
+])
+def test_exhaustive_counts_match_the_exact_cover_oracle(order, blanks,
+                                                        boards):
+    """Algorithm X shares no code with the engine, so the two agree on a
+    count and on every solution only if both are right.  The boards come
+    from one fixed seed per order; orders 4-5 keep to the first-large
+    blank ranges, as the relabelling test does."""
+    rng = random.Random(110 + order)
+    puzzles = [delete_cells(shuffled_valid_grid(order, rng),
+                            rng.randint(*blanks), rng) for _ in range(boards)]
+    if order == 2:
+        puzzles.append(WITNESS_4)     # consistent, with no completion
+    counts = []
+    for puzzle in puzzles:
+        report = solve(Grid(order, puzzle), cap=10 ** 6)
+        expected = exact_cover_solutions(order, puzzle)
+        assert report.solution_count == len(expected)
+        assert _solution_set(report) == expected
+        counts.append(len(expected))
+    assert max(counts) > 1
+    if order == 2:
+        assert counts[-1] == 0
 
 
 def test_trials_zero_when_propagation_decides():
