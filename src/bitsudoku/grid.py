@@ -10,11 +10,12 @@ slice of the cells' bits, and only a board whose sums lose bits to a
 carry is walked unit by unit to name its first repeat.  A raw cell above
 n² has no bit and one below 0 fails the bytearray that counts the clues.
 
-Text goes in and out through per-order tables.  parse looks every token
-of a generic document up at once and falls back to reading row by row,
-which names the first fault, only when a token or a row length is off;
-render looks each value up in a table of tokens keyed by value, so a
-cell outside 0..n² raises there, as solve and check refuse it.
+Text goes in and out through per-order tables.  parse reads a generic
+document row by row: each row's tokens are looked up at once, and only a
+row with a token the table lacks is read again token by token, which
+accepts a zero-padded value and names any other fault.  render writes
+either format from one table of tokens keyed by value, so a cell outside
+0..n² raises there, as solve and check refuse it.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ def cell_index(i: int, j: int, side: int) -> int:
 class Grid(_Record):
     """Cell storage for one board; `cells[r][c]` is 0-based raw access.
 
-    A raw write to `cells` must be an int in [0, n²]: solve and check
-    refuse anything else, and set_value enforces it.  Two grids are ==
-    when their order and cells are; grids are mutable and unhashable.
+    A raw write to `cells` must be an int in [0, n²]: solve, check and
+    render refuse anything else, and set_value enforces it.  Two grids
+    are == when their order and cells are; grids are mutable and
+    unhashable.
     """
 
     _fields = ("order", "cells")
@@ -122,8 +124,8 @@ def _text_tables(order: int) -> tuple[dict[int, int], dict[str, int],
                                       dict[int, str]]:
     """Each cell value 0..n² to itself, so a lookup by any equal value
     gives the int; each canonical token "0".."n²" to its value; and each
-    value to its token, which a lookup by True, -0.0 or 2.0 finds as %d
-    writes it."""
+    value to its token, which a lookup by True, -0.0 or 2.0 finds as the
+    int it equals."""
     m = order * order
     return ({v: v for v in range(m + 1)}, {str(v): v for v in range(m + 1)},
             {v: str(v) for v in range(m + 1)})
@@ -236,22 +238,18 @@ def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
         raise PuzzleFormatError(f"expected {m} rows, found {len(body)}",
                                 (body[m:] or significant[-1:])[0][0])
 
-    values = _text_tables(order)[1]
-    rows = [line.split() for _, line in body]
-    # One lookup per token converts and range-checks a canonical document;
-    # any other token or row length is judged row by row below.
-    if set(map(len, rows)) == {m}:
-        flat = list(map(values.get, chain.from_iterable(rows)))
-        if None not in flat:
-            return Grid._adopt(order, [flat[i:i + m]
-                                       for i in range(0, m * m, m)])
+    token_value = _text_tables(order)[1].__getitem__
     cells = []
-    for (lineno, _), tokens in zip(body, rows):
+    for lineno, line in body:
+        tokens = line.split()
         if len(tokens) != m:
             raise PuzzleFormatError(
                 f"expected {m} values per row, found {len(tokens)}", lineno)
-        cells.append([_value(token, m, lineno, col)
-                      for col, token in enumerate(tokens, start=1)])
+        try:
+            cells.append(list(map(token_value, tokens)))
+        except KeyError:    # a token other than "0".."m": judge each one
+            cells.append([_value(token, m, lineno, col)
+                          for col, token in enumerate(tokens, start=1)])
     return Grid._adopt(order, cells)
 
 
@@ -296,16 +294,16 @@ def render(board: Grid, fmt: str = "generic") -> str:
     as 0.
 
     "generic" works for any order; "classic" is the 81-character single
-    line and is only defined for order 3.  A generic board's values are
-    looked up in a table of the tokens "0".."n²", so a cell outside 0..n²
-    raises KeyError (TypeError if unhashable).
+    line and is only defined for order 3.  Both look each value up in a
+    table of the tokens "0".."n²", so a cell outside 0..n² raises KeyError
+    (TypeError if unhashable).
     """
+    token = _text_tables(board.order)[2].__getitem__
     if fmt == "generic":
-        token = _text_tables(board.order)[2].__getitem__
         rows = [" ".join(map(token, row)) for row in board.cells]
         return f"{board.order}\n" + "\n".join(rows) + "\n"
     if fmt == "classic":
         if board.order != 3:
             raise ValueError("classic format requires an order-3 board")
-        return ("%d" * 81 + "\n") % tuple(chain.from_iterable(board.cells))
+        return "".join(map(token, chain.from_iterable(board.cells))) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

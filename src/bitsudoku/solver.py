@@ -184,9 +184,9 @@ def assign(state: SolverState, i: int, j: int, d: int) -> SolverState:
     a, b, c = unit_table(state.order)[k]
     bit = 1 << (d - 1)
     state.cells[k] = d
-    state.words[a] &= ~bit
-    state.words[b] &= ~bit
-    state.words[c] &= ~bit
+    state.words[a] ^= bit
+    state.words[b] ^= bit
+    state.words[c] ^= bit
     state.open.remove(k)
     return state
 

@@ -339,6 +339,11 @@ def test_parse_reports_line_and_column():
         parse("2\n1 2 3 4\n3 x 1 2\n2 1 4 3\n4 3 2 1\n")
     assert err.value.line == 3
     assert err.value.column == 2
+    # A row both short and holding an odd token is judged by its length.
+    with pytest.raises(PuzzleFormatError) as err:
+        parse("2\n1 2 3 4\n3 x 1\n2 1 4 3\n4 3 2 1\n")
+    assert str(err.value) == "expected 4 values per row, found 3 (line 3)"
+    assert (err.value.line, err.value.column) == (3, None)
 
 
 @pytest.mark.parametrize("text", [
@@ -435,14 +440,14 @@ def test_render_writes_each_value_as_an_integer():
                                           (-1, KeyError), ("3", KeyError),
                                           (None, KeyError), ([1], TypeError)])
 def test_render_refuses_a_cell_outside_the_range(value, error):
-    """A raw cell that is not one of 0..n² has no token, as solve and
-    check refuse it."""
-    for order in (2, 5):
+    """A raw cell that is not one of 0..n² has no token in either format,
+    as solve and check refuse it."""
+    for order, fmt in ((2, "generic"), (5, "generic"), (3, "classic")):
         m = order * order
         g = Grid(order, [[0] * m for _ in range(m)])
         g.cells[m - 1][m - 1] = value
         with pytest.raises(error):
-            render(g)
+            render(g, fmt)
 
 
 def test_render_matches_reference_on_seeded_boards():
