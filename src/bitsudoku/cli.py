@@ -27,8 +27,8 @@ rewrapped to the terminal, and raises SystemExit(0); -h takes nothing
 after it in the same token, so -hh is an error.
 
 `sieve N` writes the decimal text that `sieve.prime_text` makes, one
-segment of 10**5 numbers per write, so neither a list of the primes nor
-an int per number is made.
+decimal block of 10**4 numbers per write, so neither a list of the primes
+nor an int per number is made.
 
 A process, `python -m bitsudoku` or the `bitsudoku` script, ends through
 entry(): main()'s code, with the collector frozen on the way out, so the

@@ -59,10 +59,13 @@ def cell_index(i: int, j: int, side: int) -> int:
 class Grid(_Record):
     """Cell storage for one board; `cells[r][c]` is 0-based raw access.
 
-    A raw write to `cells` must be an int in [0, n²]: solve, check and
-    render refuse anything else, and set_value enforces it.  Two grids
-    are == when their order and cells are; grids are mutable and
-    unhashable.
+    The constructor and set_value take only a value equal to one of 0..n²
+    and store it as that int.  A raw write to `cells` skips the check:
+    solve and check refuse an int outside [0, n²] and any other type, but
+    read a bool as the int it is (True as 1); render writes any value
+    equal to one of 0..n² (True, 2.0, 2+0j) as that int's token and
+    refuses the rest.  Two grids are == when their order and cells are;
+    grids are mutable and unhashable.
     """
 
     _fields = ("order", "cells")

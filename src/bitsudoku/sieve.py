@@ -6,12 +6,13 @@ that no value is as wide as the bound: memory is O(sqrt(n)), the primes up
 to isqrt(n) that strike plus one segment.  A segment starts as one byte of
 1 per odd number, and every odd prime whose square lies in or below it
 strikes its odd multiples there (from p*p on) by one extended-slice
-assignment of zero bytes; `itertools.compress` then filters the flags at C
-speed.  `primes_up_to` filters the odd numbers themselves into one list.
-`prime_text` makes the decimal text without an int per number: a segment
-is ten blocks of 10**4 numbers, and each block filters one shared table of
-the 4-digit odd suffixes "0001\n" .. "9999\n" and joins them with the
-block number as the prefix.  A bound above sys.maxsize raises
+assignment of zero bytes, sliced from one zero buffer per sieve;
+`itertools.compress` then filters the flags at C speed.  `primes_up_to`
+filters the odd numbers themselves into one list.  `prime_text` makes the
+decimal text without an int per number: a segment is ten blocks of 10**4
+numbers, and each block filters one shared table of the 4-digit odd
+suffixes "0001\n" .. "9999\n", joins them with the block number as the
+prefix and is yielded at once.  A bound above sys.maxsize raises
 OverflowError before any work.  `BitArray` is a general packed bit array
 in machine words, with checked per-bit access.
 """
@@ -82,24 +83,24 @@ def primes_up_to(n: int) -> list[int]:
 
 def prime_text(n: int) -> Iterator[str]:
     """The primes p <= n in decimal, one per line: "2\n", then one string
-    per segment.  The bound check and the primes up to isqrt(n) come first,
-    so a bound too large to sieve raises before any text."""
+    per decimal block of 10**4 numbers that holds a prime.  The bound check
+    and the primes up to isqrt(n) come first, so a bound too large to sieve
+    raises before any text."""
     for lo, flags in _odd_segments(n):
         if lo == 0:
             yield "2\n"
         suffixes = _suffixes()
-        text = []
         for c in range(0, len(flags), _BLOCK_BITS):
-            block = (lo + c) // _BLOCK_BITS
             selected = list(compress(suffixes, flags[c:c + _BLOCK_BITS]))
             if not selected:    # a join would leave a stray prefix
                 continue
+            block = (lo + c) // _BLOCK_BITS
             if block:
                 prefix = str(block)
-                text += prefix, prefix.join(selected)
+                yield prefix + prefix.join(selected)
             else:
-                text += [s.lstrip("0") for s in selected]
-        yield "".join(text)
+                yield "".join([s.lstrip("0") for s in selected])
+        del flags  # so the next segment is made with this one freed
 
 
 @cache
@@ -113,13 +114,17 @@ def _odd_segments(n: int) -> Iterator[tuple[int, bytearray]]:
     """(lo, flags) per segment of the odd numbers 1, 3, ..., <= n: flags[i]
     is 1 when odd-number bit lo + i, the number 2(lo + i) + 1, is a prime.
     The bound check and the primes up to isqrt(n) come before the first
-    segment."""
+    segment.  A segment is dropped before the next is made, so a caller
+    that drops it too holds one segment at a time."""
     if n > sys.maxsize:
         raise OverflowError(f"bound {n} is above sys.maxsize")
     if n < 2:
         return
     length = (n + 1) // 2  # the odd numbers 1, 3, ..., <= n
     odd = primes_up_to(isqrt(n))[1:]
+    # Every strike copies its zeros from this one buffer, as long as the
+    # widest strike (p = 3 over a whole segment) needs.
+    zeros = memoryview(bytes(len(range(0, min(_SEGMENT_BITS, length), 3))))
     for lo in range(0, length, _SEGMENT_BITS):
         width = min(_SEGMENT_BITS, length - lo)
         flags = bytearray(b"\x01") * width
@@ -129,8 +134,9 @@ def _odd_segments(n: int) -> Iterator[tuple[int, bytearray]]:
             if p * p // 2 >= lo + width:
                 break
             first = _first_multiple(p, lo) - lo
-            flags[first::p] = bytes(len(range(first, width, p)))
+            flags[first::p] = zeros[:len(range(first, width, p))]
         yield lo, flags
+        del flags
 
 
 def _first_multiple(p: int, lo: int) -> int:

@@ -309,13 +309,13 @@ def _trial_primes():
     return primes_by_trial_division(200_001)
 
 
-# Each segment is one stdout write: segments are 10**5 numbers wide, so
-# 100001 and 200001 start the second and third, and 100000 and 200000
-# end one.  Each decimal block of 10**4 numbers is its own text: 9999 and
-# 99999 end one, 10001 = 73 * 137 and 100001 = 11 * 9091 end on a block
-# that holds no prime and prints nothing.  pi(N) = 4095, 4096 and 4097 at
-# 38872, 38873 and 38891; 0, 1 and 2 print no line or one.  961 = 31**2
-# and 1369 = 37**2 are the first strikes of two primes.
+# Each decimal block of 10**4 numbers that holds a prime is one stdout
+# write, struck in segments 10**5 numbers wide, so 100001 and 200001
+# start the second and third segment, and 100000 and 200000 end one.
+# 9999 and 99999 end a block, and 10001 = 73 * 137 and 100001 = 11 * 9091
+# end on a block that holds no prime and prints nothing.  pi(N) = 4095,
+# 4096 and 4097 at 38872, 38873 and 38891; 0, 1 and 2 print no line or
+# one.  961 = 31**2 and 1369 = 37**2 are the first strikes of two primes.
 @pytest.mark.parametrize("bound", [0, 1, 2, 38872, 38873, 38891,
                                    65536, 65537, 131072, 131073,
                                    960, 961, 962, 1368, 1369, 1370,
@@ -363,15 +363,15 @@ def _sieve_peak(bound, monkeypatch):
 
 
 # The primes up to 10**6 alone take about 2.8 MB as a list of ints; each
-# segment is written before the next is read, so none of them is kept.
+# block's text is written before the next is made, so none of them is kept.
 def test_sieve_holds_no_prime_list(monkeypatch):
     code, peak = _sieve_peak("1000000", monkeypatch)
     assert code == 0
     assert peak < 1.5e6, peak
 
 
-# Memory is one segment plus the primes up to sqrt(N), whatever N, so
-# 10**7 stays under the same 1.5 MB as 10**6.
+# Memory is one segment, one block's text and the primes up to sqrt(N),
+# whatever N, so 10**7 stays under the same 1.5 MB as 10**6.
 def test_sieve_memory_does_not_grow_with_the_bound(monkeypatch):
     code, peak = _sieve_peak("10000000", monkeypatch)
     assert code == 0

@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
@@ -90,6 +91,36 @@ def test_matches_trial_division_at_segment_edges(n):
                                for d in (-1, 0, 1)])
 def test_prime_text_is_the_decimal_of_primes_up_to(n):
     assert "".join(prime_text(n)) == "".join(f"{p}\n" for p in primes_up_to(n))
+
+
+# "2\n", then one string per decimal block of 10**4 numbers that holds an
+# odd prime: 10**5 gives eleven, and 10006 ends on a block (10001 to
+# 10006) that holds none and yields nothing.
+@pytest.mark.parametrize("n, count", [(1, 0), (2, 1), (3, 2), (10**4, 2),
+                                      (10006, 2), (10007, 3), (10**5, 11),
+                                      (10**6 + 1, 101)])
+def test_prime_text_yields_one_string_per_block_with_a_prime(n, count):
+    texts = list(prime_text(n))
+    assert len(texts) == count
+    assert texts[:1] == ["2\n"][:count]
+    for text in texts[1:]:
+        assert len({int(p) // 10**4 for p in text.split()}) == 1, text
+
+
+# Beyond the cached suffix table, draining the text holds one segment's
+# flags, one block's text and the zero buffer the strikes copy from:
+# about 120 KB on CPython 3.11.  The bound leaves room for other versions
+# and fails text joined per segment, which peaks near 285 KB.
+def test_prime_text_peak_memory_is_one_block_of_text():
+    sieve._suffixes()
+    tracemalloc.start()
+    try:
+        for _ in prime_text(10**7):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
 
 
 def test_one_million():

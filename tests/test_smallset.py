@@ -177,6 +177,9 @@ def test_cardinality():
     assert sset([2, 7, 9], 9).cardinality() == 3
     assert SmallSet.full(25).cardinality() == 25
     assert len(sset([2, 7], 9)) == 2
+    for capacity in (1, 9, 25):
+        assert not SmallSet.empty(capacity)
+        assert sset([capacity], capacity) and SmallSet.full(capacity)
 
 
 def test_elements_ascending():
