@@ -164,11 +164,14 @@ def is_sudoku_matrix(g: Grid) -> bool:
     The grid must be complete; blanks raise IncompleteGridError.  On a
     complete board a unit without a repeated value is a permutation.
     """
+    # The scan runs first so that it refuses a raw float, as solve does,
+    # before `0 in row` finds a 0.0 or -0.0 equal to a blank.
+    conflict = first_conflict(g)
     for i, row in enumerate(g.cells, start=1):
         if 0 in row:
             raise IncompleteGridError(
                 f"blank cell at ({i}, {row.index(0) + 1})")
-    return first_conflict(g) is None
+    return conflict is None
 
 
 def unit_scan(order: int, cells: list[int]

@@ -1,7 +1,10 @@
 import gc
+import hashlib
 import io
 import os
 import random
+import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -16,13 +19,25 @@ from bitsudoku.cli import main
 from bitsudoku.grid import is_sudoku_matrix, parse
 
 from oracles import (CLASSIC_81, INVALID_4, clues, delete_cells,
-                     primes_by_trial_division, ref_render,
+                     pattern_grid, primes_by_trial_division, ref_render,
                      shuffled_valid_grid)
 
 EMPTY_4 = "2\n" + "0 0 0 0\n" * 4
 COMPLETE_4 = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
 WITNESS_4 = "2\n0 2 3 4\n1 0 0 0\n0 0 0 0\n0 0 0 0\n"
 REPEATED_4 = "2\n1 0 0 1\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _process(argv, cwd=None, **env):
+    """argv started with src on PYTHONPATH and a pipe on each of its three
+    streams; a variable given as None is left out of its environment."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    return subprocess.Popen(
+        argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, cwd=cwd,
+        env={name: value for name, value in env.items() if value is not None})
 
 
 @pytest.fixture
@@ -153,15 +168,12 @@ def test_stdin_rejects_the_bytes_a_file_rejects(tmp_path, capsys):
     assert main(["count", str(path)]) == 2
     file_err = capsys.readouterr().err
 
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("PYTHONIOENCODING", None)
-    proc = subprocess.run([sys.executable, "-m", "bitsudoku", "count", "-"],
-                          input=data, capture_output=True, env=env,
-                          timeout=60)
+    proc = _process([sys.executable, "-m", "bitsudoku", "count", "-"],
+                    PYTHONIOENCODING=None)
+    out, err = proc.communicate(data, timeout=60)
     assert proc.returncode == 2
-    assert proc.stdout == b""
-    assert proc.stderr.decode() == file_err
+    assert out == b""
+    assert err.decode() == file_err
 
 
 @pytest.mark.parametrize("data", [
@@ -175,41 +187,35 @@ def test_file_and_stdin_read_line_breaks_alike(tmp_path, capsys, data):
     file_code = main(["count", "--stats", str(path)])
     file_out, file_err = capsys.readouterr()
 
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bitsudoku", "count", "--stats", "-"],
-        input=data, capture_output=True, env=env, timeout=60)
+    proc = _process(
+        [sys.executable, "-m", "bitsudoku", "count", "--stats", "-"])
+    out, err = proc.communicate(data, timeout=60)
     assert proc.returncode == file_code
-    assert proc.stdout.decode() == file_out
-    assert proc.stderr.decode() == file_err
+    assert out.decode() == file_out
+    assert err.decode() == file_err
 
 
 def test_stdin_is_decoded_as_utf8_whatever_its_text_encoding():
     data = b"# caf\xe9\n" + EMPTY_4.encode()
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="latin-1")
-    proc = subprocess.run([sys.executable, "-m", "bitsudoku", "count", "-"],
-                          input=data, capture_output=True, env=env,
-                          timeout=60)
+    proc = _process([sys.executable, "-m", "bitsudoku", "count", "-"],
+                    PYTHONIOENCODING="latin-1")
+    out, err = proc.communicate(data, timeout=60)
     assert proc.returncode == 2
-    assert proc.stdout == b""
-    assert b"byte 0xe9" in proc.stderr
+    assert out == b""
+    assert b"byte 0xe9" in err
 
 
 # With fd 0 closed, sys.stdin is None: reading "-" is an unreadable input,
 # one error line and exit 2, not a traceback.
 @pytest.mark.parametrize("command", ["solve", "count", "check"])
 def test_closed_stdin_is_an_input_error(command):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        ["sh", "-c", '"$0" -m bitsudoku "$1" - <&-', sys.executable,
-         command], capture_output=True, env=env, timeout=60)
+    proc = _process(["sh", "-c", '"$0" -m bitsudoku "$1" - <&-',
+                     sys.executable, command])
+    out, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
-    assert proc.stdout == b""
-    assert proc.stderr.startswith(b"error: ")
-    assert proc.stderr.count(b"\n") == 1
+    assert out == b""
+    assert err.startswith(b"error: ")
+    assert err.count(b"\n") == 1
 
 
 # With fd 1 closed sys.stdout is None, and on /dev/full every write fails:
@@ -219,16 +225,13 @@ def test_closed_stdin_is_an_input_error(command):
 @pytest.mark.parametrize("command", [["solve", "-"], ["count", "-"],
                                      ["sieve", "10"]])
 def test_unwritable_stdout_is_an_output_error(command, redirect):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        ["sh", "-c", f'"$0" -m bitsudoku "$@" {redirect}', sys.executable,
-         *command], input=EMPTY_4.encode(), capture_output=True, env=env,
-        timeout=60)
+    proc = _process(["sh", "-c", f'"$0" -m bitsudoku "$@" {redirect}',
+                     sys.executable, *command])
+    out, err = proc.communicate(EMPTY_4.encode(), timeout=60)
     assert proc.returncode == 2
-    assert proc.stdout == b""
-    assert proc.stderr.startswith(b"error: ")
-    assert proc.stderr.count(b"\n") == 1
+    assert out == b""
+    assert err.startswith(b"error: ")
+    assert err.count(b"\n") == 1
 
 
 # --help's text is output like any other: when it is lost, the process
@@ -236,14 +239,12 @@ def test_unwritable_stdout_is_an_output_error(command, redirect):
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 @pytest.mark.parametrize("argv", [["--help"], ["sieve", "--help"]])
 def test_help_into_a_full_stdout_is_an_output_error(argv, unbuffered):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
-    proc = subprocess.run(
-        ["sh", "-c", '"$0" -m bitsudoku "$@" >/dev/full', sys.executable,
-         *argv], capture_output=True, env=env, timeout=60)
+    proc = _process(["sh", "-c", '"$0" -m bitsudoku "$@" >/dev/full',
+                     sys.executable, *argv], PYTHONUNBUFFERED=unbuffered)
+    _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
-    assert proc.stderr.startswith(b"error: cannot write to stdout: ")
-    assert proc.stderr.count(b"\n") == 1
+    assert err.startswith(b"error: cannot write to stdout: ")
+    assert err.count(b"\n") == 1
 
 
 def test_classic_output_format(puzzle_file, capsys):
@@ -330,11 +331,7 @@ def test_sieve_output_matches_trial_division(bound, capsys):
 
 
 def test_sieve_into_a_closed_pipe_exits_141_quietly():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "bitsudoku", "sieve", "1000000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = _process([sys.executable, "-m", "bitsudoku", "sieve", "1000000"])
     assert proc.stdout.readline() == b"2\n"
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -489,15 +486,12 @@ HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
 
 
 def test_cli_import_loads_no_heavy_modules():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys; b = set(sys.modules); import bitsudoku.cli; "
             "print(' '.join(sorted(set(sys.modules) - b)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    proc = _process([sys.executable, "-S", "-c", code])
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    loaded = set(out.decode().split())
     assert "bitsudoku.cli" in loaded
     assert loaded.isdisjoint(HEAVY_MODULES), sorted(
         loaded.intersection(HEAVY_MODULES))
@@ -523,13 +517,10 @@ finally:
     ["sieve", "1"],
 ])
 def test_cli_process_loads_no_argument_parser(argv):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
-                          input=CLASSIC_81.encode(), capture_output=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stderr.rsplit(b"LOADED ", 1)[1].decode().split())
+    proc = _process([sys.executable, "-c", _LOADED, *argv])
+    _, err = proc.communicate(CLASSIC_81.encode(), timeout=60)
+    assert proc.returncode == 0, err
+    loaded = set(err.rsplit(b"LOADED ", 1)[1].decode().split())
     assert "bitsudoku.cli" in loaded
     assert loaded.isdisjoint({"argparse", "gettext", "locale"})
 
@@ -555,13 +546,130 @@ def test_process_entry_returns_to_its_caller(puzzle_file, capsys, text,
     path = puzzle_file(text)
     assert _main_code(argv + [path]) == code
     expected = capsys.readouterr().out.encode()
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv, path],
-                          capture_output=True, env=env, timeout=60)
-    assert b"\nLOADED " in proc.stderr
+    proc = _process([sys.executable, "-c", _LOADED, *argv, path])
+    out, err = proc.communicate(timeout=60)
+    assert b"\nLOADED " in err
     assert proc.returncode == code
-    assert proc.stdout == expected
+    assert out == expected
+
+
+def _process_inputs():
+    """The files PROCESS_ROWS read, by name."""
+    repeat25 = [[0] * 25 for _ in range(25)]
+    repeat25[0][0] = repeat25[1][1] = 7
+    swapped25 = pattern_grid(5)
+    swapped25[0][0], swapped25[0][1] = swapped25[0][1], swapped25[0][0]
+    plain25 = pattern_grid(5)
+    for k in random.Random(2012).sample(range(625), 220):
+        plain25[k // 25][k % 25] = 0
+    padded25 = ["# the board of plain25.txt, zero-padded", "5"]
+    for row in plain25:
+        padded25 += ["", "# a row", " ".join("%03d" % v for v in row)]
+    return {
+        "blank16.txt": ref_render(4, [[0] * 16] * 16),
+        "repeat25.txt": ref_render(5, repeat25),
+        "swapped25.txt": ref_render(5, swapped25),
+        "plain25.txt": ref_render(5, plain25),
+        "padded25.txt": "".join(line + "\n" for line in padded25),
+        "crlf4.txt": "2\r\n1 0 0 0\r\n0 0 0 0\r\n0 0 0 0\r\n0 0 0 0\r\n",
+        "classic.txt": CLASSIC_81 + "\n",
+    }
+
+
+def _starts(line):
+    return re.compile(re.escape(line.encode() + b"\n"))
+
+
+SOLVED_PLAIN25 = ("a6b18135e64ffd72163267f0c4df20e7"
+                  "b246712a908c0cf29dd539b356dce165")
+
+# name: (argv, stdin, exit code, stdout, what stderr holds).  stdin names an
+# input file or an earlier row, whose stdout it then reads; stdout is the
+# exact bytes, their sha256, or a pattern that matches from their start.
+PROCESS_ROWS = {
+    "help": (["--help"], None, 0, _starts(
+        "usage: bitsudoku [-h] {solve,count,check,sieve} ..."), b""),
+    "count-help": (["count", "--help"], None, 0, _starts(
+        "usage: bitsudoku count [-h] [--format {generic,classic}] [--stats]"
+        " [--cap N]"), b""),
+    # The bytes the benchmark's cli workload checks.
+    "sieve-1e6": (["sieve", "1000000"], None, 0, "4883963dd4510a29d6df2ffe4dd1"
+                  "1e4e1a910e815c7810b200c77b3357f22a28", b""),
+    "solve-blank16": (["solve", "blank16.txt"], None, 0, "09c2b86b75b0ce5ba3"
+                      "7287826441a4ce55452cb315aac8eaae7cc25965c1eaef", b""),
+    "check-blank16": (["check", "-"], "solve-blank16", 0, b"VALID\n", b""),
+    # The clue scan's two verdicts at 25x25: a repeat inside one block, and
+    # a row with two values swapped.
+    "solve-repeat25": (["solve", "repeat25.txt"], None, 1, b"UNSOLVABLE\n",
+                       b"block 1 contains 7 more than once"),
+    "check-swapped25": (["check", "swapped25.txt"], None, 1, b"INVALID\n",
+                        b""),
+    # A canonical row takes parse's one lookup; the padded board's rows are
+    # read again token by token.  Both give the same bytes.
+    "solve-plain25": (["solve", "plain25.txt"], None, 0, SOLVED_PLAIN25, b""),
+    "solve-padded25": (["solve", "padded25.txt"], None, 0, SOLVED_PLAIN25,
+                       b""),
+    "check-plain25": (["check", "-"], "solve-plain25", 0, b"VALID\n", b""),
+    "crlf-file": (["count", "--stats", "crlf4.txt"], None, 0,
+                  b"solutions=72 trials=141 passes=232\n", b""),
+    "crlf-stdin": (["count", "--stats", "-"], "crlf4.txt", 0,
+                   b"solutions=72 trials=141 passes=232\n", b""),
+    "classic": (["solve", "--format", "classic", "-"], "classic.txt", 0,
+                re.compile(rb"[1-9]{81}\n\Z"), b""),
+    "check-classic": (["check", "-"], "classic", 0, b"VALID\n", b""),
+}
+
+
+def _routes():
+    """(command, environment) of each way to start bitsudoku: python -m on
+    src, and the console script pip installs, when one is on PATH, with no
+    PYTHONPATH, so it runs the installed package."""
+    routes = [([sys.executable, "-m", "bitsudoku"], {})]
+    script = shutil.which("bitsudoku")
+    if script:
+        # The script and python -m end through one function, whatever the
+        # exit code (test_process_entry_returns_to_its_caller).
+        assert "from bitsudoku.cli import entry" in Path(script).read_text()
+        routes.append(([script], {"PYTHONPATH": None}))
+    return routes
+
+
+def test_processes_keep_the_contract(tmp_path):
+    inputs = _process_inputs()
+    for name, text in inputs.items():
+        (tmp_path / name).write_bytes(text.encode())
+    routes = _routes()
+    # sieve 10**8 crosses 1,000 segments, ten times the largest bound the
+    # other tests compare in full.  It runs once, by the last route, into a
+    # file while the rows run.
+    last, last_env = routes[-1]
+    with _process(["sh", "-c", '"$@" > primes.txt', "sh", *last, "sieve",
+                   "100000000"], cwd=tmp_path, **last_env) as sieve:
+        for command, env in routes:
+            data = {name: text.encode() for name, text in inputs.items()}
+            for name, (argv, stdin, code, stdout, err_holds) in \
+                    PROCESS_ROWS.items():
+                proc = _process([*command, *argv], cwd=tmp_path, **env)
+                out, err = proc.communicate(data.get(stdin), timeout=60)
+                data[name] = out
+                where = (name, command)
+                assert proc.returncode == code, (where, err)
+                if isinstance(stdout, bytes):
+                    assert out == stdout, where
+                elif isinstance(stdout, str):
+                    assert hashlib.sha256(out).hexdigest() == stdout, where
+                else:
+                    assert stdout.match(out), where
+                assert err_holds in err, where
+        _, err = sieve.communicate(timeout=60)
+    assert sieve.returncode == 0, err
+    digest = hashlib.sha256()
+    with open(tmp_path / "primes.txt", "rb") as primes:
+        for chunk in iter(lambda: primes.read(1 << 20), b""):
+            digest.update(chunk)
+    (tmp_path / "primes.txt").unlink()
+    assert digest.hexdigest() == ("fb7e00e2e7eb157e21837f89d0911c01729ebbbd9a1"
+                                  "8f8608f6e3936b9f953ee")
 
 
 def test_main_in_process_does_not_freeze_the_collector(puzzle_file, capsys):

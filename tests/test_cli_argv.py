@@ -16,7 +16,7 @@ import os
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bitsudoku import cli
 
@@ -30,6 +30,7 @@ ARGV = {
     "-h": (0, TOP_HELP),
     "--help": (0, TOP_HELP),
     "--he": (0, TOP_HELP),
+    "-hx": (2,),
     "solve": (2,),
     "frobnicate x": (2,),
     "-- solve x": (2,),
@@ -37,6 +38,7 @@ ARGV = {
     "--x solve -h": (0, SOLVE_HELP),
     "-h solve --cap x": (0, TOP_HELP),
     "solve -h": (0, SOLVE_HELP),
+    "solve -hx": (2,),
     "count --help": (0, "91d2d92afb1e9fcd"),
     "check --h": (0, "af771796dd9b01da"),
     "sieve --help": (0, "21ba005d3cc205b4"),
@@ -138,6 +140,16 @@ def _dashes_after_a_subcommand(argv):
     return argv.count("--") == 1 and any(t in COMMANDS for t in argv[:at])
 
 
+# CPython 3.13's argparse reads `-hx` as `-h` and prints help; 3.11's and
+# 3.12's exit 2, as the CLI does on every version, and the rows above pin
+# that.  Where the running argparse reads those rows otherwise, a drawn
+# line with a `-h` token that runs on is left to the rows.
+_HX_LINES = ("-hx", "solve -hx")
+_ARGPARSE_READS_HX_AS_RECORDED = all(
+    _outcome(parse_cli_args, line.split())[:1] == ARGV[line]
+    for line in _HX_LINES)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(TOKENS), max_size=6)
        .filter(_dashes_after_a_subcommand))
@@ -150,5 +162,7 @@ def test_argv_parses_as_argparse_parses_it(argv):
     other letter and an ambiguous prefix (`--=x`) is an unknown option,
     so `-hh` and `--=x` are not drawn: argparse reads `-hh` as help and
     fails `--=x` before it reads any help flag."""
+    assume(_ARGPARSE_READS_HX_AS_RECORDED
+           or not any(t.startswith("-h") and t != "-h" for t in argv))
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         assert _outcome(cli._parse, argv) == _outcome(parse_cli_args, argv)

@@ -390,20 +390,28 @@ def _outside(n):
     return [(n, v) for v in (-1, -m, -(m + 1), m + 1, 255, 256)]
 
 
-@pytest.mark.parametrize("n, v", _outside(2) + _outside(5))
+def _floats(n):
+    return [(n, v) for v in (-0.0, 0.0, 2.0)]
+
+
+@pytest.mark.parametrize("n, v", _outside(2) + _outside(5)
+                         + _floats(2) + _floats(5))
 def test_raw_cells_outside_the_range_raise(n, v):
-    """A raw write that set_value would refuse reaches no answer: solve and
-    check raise on it rather than read it as some other value.  One value
-    on a blank board repeats nothing, so a ConflictError would be wrong."""
+    """A raw write that set_value would refuse or store as another object
+    reaches no answer: solve and check raise on it rather than read it as
+    some other value.  A float raises TypeError even where it equals a
+    value, so check names no blank for a -0.0.  One value on a blank board
+    repeats nothing, so a ConflictError would be wrong."""
     m = n * n
     blank = Grid(n, [[0] * m for _ in range(m)])
     blank.cells[1][2] = v
     complete = Grid(n, pattern_grid(n))
     complete.cells[1][2] = v
+    expected = TypeError if isinstance(v, float) else (ValueError, IndexError)
     for call in (lambda: solve(blank, limit=1), lambda: init_state(blank),
                  lambda: first_conflict(blank),
                  lambda: is_sudoku_matrix(complete)):
-        with pytest.raises((ValueError, IndexError)) as err:
+        with pytest.raises(expected) as err:
             call()
         assert not isinstance(err.value, ConflictError)
 
