@@ -5,23 +5,23 @@ block row k, block column l) are 1-based throughout; the underlying cell
 array is ordinary 0-based storage.  Cell (i, j) lies in block (k, l) with
 (k-1)·n < i <= k·n and (l-1)·n < j <= l·n.
 
-unit_scan reads the clues at C speed: each unit's word is the sum of one
-slice of the cells' bits, and only a board whose sums lose bits to a
-carry is walked unit by unit to name its first repeat.  A raw cell above
-n² has no bit and one below 0 fails the bytearray that counts the clues.
+Every reader of a Grid's cells (init_state, first_conflict,
+is_sudoku_matrix, render) takes them from cell_bytes: one row-major
+bytearray, which holds each raw cell as one byte and refuses any that is
+not an int in 0..n².  unit_scan reads the clues at C speed: each unit's
+word is the sum of one slice of the cells' bits, and only a board whose
+sums lose bits to a carry is walked unit by unit to name its first repeat.
 
 Text goes in and out through per-order tables.  parse reads a generic
 document row by row: each row's tokens are looked up at once, and only a
 row with a token the table lacks is read again token by token, which
 accepts a zero-padded value and names any other fault.  render writes
-either format from one table of tokens keyed by value, so a cell outside
-0..n² raises there, as solve and check refuse it.
+either format by indexing one list of the tokens "0".."n²" with the bytes.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
 from operator import itemgetter
 
 from .smallset import _Record
@@ -60,12 +60,13 @@ class Grid(_Record):
     """Cell storage for one board; `cells[r][c]` is 0-based raw access.
 
     The constructor and set_value take only a value equal to one of 0..n²
-    and store it as that int.  A raw write to `cells` skips the check:
-    solve and check refuse an int outside [0, n²] and any other type, but
-    read a bool as the int it is (True as 1); render writes any value
-    equal to one of 0..n² (True, 2.0, 2+0j) as that int's token and
-    refuses the rest.  Two grids are == when their order and cells are;
-    grids are mutable and unhashable.
+    and store it as that int, or raise ValueError naming the first other
+    value.  A raw write to `cells` skips that check, and then every reader
+    (solve, init_state, first_conflict, is_sudoku_matrix, render) raises
+    TypeError for a raw cell that is not an int and ValueError for an int
+    outside 0..n², where a bool is the int it is (True reads as 1).  Two
+    grids are == when their order and cells are; grids are mutable and
+    unhashable.
     """
 
     _fields = ("order", "cells")
@@ -79,16 +80,8 @@ class Grid(_Record):
             raise ValueError(f"cell array is not {m}x{m}")
         # Own the storage, callers keep their lists, and hold each value as
         # the int it equals (2.0 as 2, True as 1).
-        exact = _text_tables(order)[0]
-        rows = []
-        for row in cells:
-            ints = list(map(exact.get, row))
-            if None in ints:
-                v = next(v for v in row if v not in exact)
-                raise ValueError(f"cell value {v!r} outside [0, {m}]")
-            rows.append(ints)
         self.order = order
-        self.cells = rows
+        self.cells = [[_cell_value(order, v) for v in row] for row in cells]
 
     @classmethod
     def _adopt(cls, order: int, cells: list[list[int]]) -> "Grid":
@@ -110,10 +103,7 @@ class Grid(_Record):
 
     def set_value(self, i: int, j: int, v: int) -> None:
         cell_index(i, j, self.side)
-        exact = _text_tables(self.order)[0].get(v)
-        if exact is None:
-            raise ValueError(f"cell value {v!r} outside [0, {self.side}]")
-        self.cells[i - 1][j - 1] = exact
+        self.cells[i - 1][j - 1] = _cell_value(self.order, v)
 
     def copy(self) -> "Grid":
         """An independent copy, row by row."""
@@ -122,16 +112,49 @@ class Grid(_Record):
     to_grid = copy
 
 
+def _cell_value(order: int, v: object) -> int:
+    """The int in 0..n² that v equals, or the ValueError naming v."""
+    try:
+        return _text_tables(order)[0][v]
+    except (KeyError, TypeError):   # TypeError: v is unhashable
+        raise ValueError(
+            f"cell value {v!r} outside [0, {order * order}]") from None
+
+
+# bytes.translate deletes the first n² + 1 of these to leave a cell above n².
+_BYTES = bytes(range(256))
+
+
+def cell_bytes(g: Grid) -> bytearray:
+    """g's cells row-major, one byte each; the one rule for a raw cell.
+
+    bytearray raises TypeError for a cell that is not an int and
+    ValueError for one outside 0..255; a cell above n² raises ValueError
+    naming it and its (i, j).
+    """
+    flat: list[int] = []
+    for row in g.cells:     # at C speed per row, unlike a chain per cell
+        flat += row
+    cells = bytearray(flat)
+    m = g.side
+    above = cells.translate(None, _BYTES[:m + 1])
+    if above:
+        k = cells.find(above[0])
+        raise ValueError(f"cell value {above[0]} at ({k // m + 1}, "
+                         f"{k % m + 1}) outside [0, {m}]")
+    return cells
+
+
 @cache
 def _text_tables(order: int) -> tuple[dict[int, int], dict[str, int],
-                                      dict[int, str]]:
+                                      list[str]]:
     """Each cell value 0..n² to itself, so a lookup by any equal value
-    gives the int; each canonical token "0".."n²" to its value; and each
-    value to its token, which a lookup by True, -0.0 or 2.0 finds as the
-    int it equals."""
+    gives the int; each canonical token "0".."n²" to its value; and the
+    list of those tokens, indexed by value.  A list, not a tuple, because
+    its __getitem__ maps faster; no caller writes to it."""
     m = order * order
     return ({v: v for v in range(m + 1)}, {str(v): v for v in range(m + 1)},
-            {v: str(v) for v in range(m + 1)})
+            [str(v) for v in range(m + 1)])
 
 
 @cache
@@ -164,22 +187,21 @@ def is_sudoku_matrix(g: Grid) -> bool:
     The grid must be complete; blanks raise IncompleteGridError.  On a
     complete board a unit without a repeated value is a permutation.
     """
-    # The scan runs first so that it refuses a raw float, as solve does,
-    # before `0 in row` finds a 0.0 or -0.0 equal to a blank.
-    conflict = first_conflict(g)
-    for i, row in enumerate(g.cells, start=1):
-        if 0 in row:
-            raise IncompleteGridError(
-                f"blank cell at ({i}, {row.index(0) + 1})")
-    return conflict is None
+    cells = cell_bytes(g)
+    k = cells.find(0)
+    if k >= 0:
+        m = g.side
+        raise IncompleteGridError(f"blank cell at ({k // m + 1}, {k % m + 1})")
+    return unit_scan(g.order, cells)[1] is None
 
 
-def unit_scan(order: int, cells: list[int]
+def unit_scan(order: int, cells: bytearray | list[int]
               ) -> tuple[list[int] | None, tuple[str, int, int] | None]:
     """The words of values the row-major cells hold per unit of unit_table,
     value d at bit d-1, and None; or, if a unit repeats a value, None and
     the first (unit kind, unit index, duplicated value): units rank rows,
-    then columns, then blocks, and each is read in reading order.
+    then columns, then blocks, and each is read in reading order.  Each
+    cell must be an int in 0..n², as cell_bytes gives them.
 
     A word is the sum of its cells' bits, and c single bits sum to c bits
     set, their OR, exactly when no two are equal.  Every clue lies in three
@@ -188,11 +210,11 @@ def unit_scan(order: int, cells: list[int]
     bits = [bit[v] for v in cells]
     bits += block_major(bits)
     words = list(map(sum, map(bits.__getitem__, units)))
-    clues = len(cells) - bytearray(cells).count(0)
+    clues = len(cells) - cells.count(0)
     if sum(map(int.bit_count, words)) == 3 * clues:
         return words, None
-    # Every cell is in [0, n²] here, so a repeat lost bits: name the first.
-    values = cells + list(block_major(cells))
+    # A repeat lost bits: name the first.
+    values = [*cells, *block_major(cells)]
     m = order * order
     for u, unit in enumerate(units):
         seen = set()
@@ -204,7 +226,7 @@ def unit_scan(order: int, cells: list[int]
 
 def first_conflict(g: Grid) -> tuple[str, int, int] | None:
     """The first conflict unit_scan finds on g, or None."""
-    return unit_scan(g.order, list(chain.from_iterable(g.cells)))[1]
+    return unit_scan(g.order, cell_bytes(g))[1]
 
 
 def parse(text: str) -> Grid:
@@ -300,16 +322,17 @@ def render(board: Grid, fmt: str = "generic") -> str:
     as 0.
 
     "generic" works for any order; "classic" is the 81-character single
-    line and is only defined for order 3.  Both look each value up in a
-    table of the tokens "0".."n²", so a cell outside 0..n² raises KeyError
-    (TypeError if unhashable).
+    line and is only defined for order 3.  Both read the cells through
+    cell_bytes and index the list of tokens "0".."n²" with them.
     """
     token = _text_tables(board.order)[2].__getitem__
     if fmt == "generic":
-        rows = [" ".join(map(token, row)) for row in board.cells]
+        m = board.side
+        text = list(map(token, cell_bytes(board)))
+        rows = [" ".join(text[k:k + m]) for k in range(0, m * m, m)]
         return f"{board.order}\n" + "\n".join(rows) + "\n"
     if fmt == "classic":
         if board.order != 3:
             raise ValueError("classic format requires an order-3 board")
-        return "".join(map(token, chain.from_iterable(board.cells))) + "\n"
+        return "".join(map(token, cell_bytes(board))) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -6,9 +6,11 @@ that no value is as wide as the bound: memory is O(sqrt(n)), the primes up
 to isqrt(n) that strike plus one segment.  A segment starts as one byte of
 1 per odd number, and every odd prime whose square lies in or below it
 strikes its odd multiples there (from p*p on) by one extended-slice
-assignment of zero bytes, sliced from one zero buffer per sieve;
-`itertools.compress` then filters the flags at C speed.  `primes_up_to`
-filters the odd numbers themselves into one list.  `prime_text` makes the
+assignment of zero bytes, sliced from one zero buffer per sieve (which
+saves a bytes object per strike, not the temporary copy CPython makes of
+any slice source that is not a bytearray); `itertools.compress` then
+filters the flags at C speed.  `primes_up_to` filters the odd numbers
+themselves into one list.  `prime_text` makes the
 decimal text without an int per number: a segment is ten blocks of 10**4
 numbers, and each block filters one shared table of the 4-digit odd
 suffixes "0001\n" .. "9999\n", joins them with the block number as the

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from itertools import chain, compress
+from itertools import compress
 
-from .grid import Grid, cell_index, unit_scan, unit_table
+from .grid import Grid, cell_bytes, cell_index, unit_scan, unit_table
 from .smallset import SmallSet, _Record
 
 
@@ -151,7 +151,7 @@ def init_state(g: Grid) -> SolverState:
 
     Raises ConflictError naming the first unit that repeats a value.
     """
-    cells = list(chain.from_iterable(g.cells))
+    cells = cell_bytes(g)
     held, conflict = unit_scan(g.order, cells)
     if conflict:
         kind, index, value = conflict
@@ -160,10 +160,9 @@ def init_state(g: Grid) -> SolverState:
     # value that is already absent.
     full = (1 << g.side) - 1
     words = [full & ~w for w in held]
-    # unit_scan refused any cell outside 0..n², so each is one byte.
-    blank = bytearray(cells).translate(_BLANK)
-    return SolverState(g.order, cells, words,
-                       list(compress(_indices(g.order), blank)))
+    return SolverState(g.order, list(cells), words,
+                       list(compress(_indices(g.order),
+                                     cells.translate(_BLANK))))
 
 
 def candidates(state: SolverState, i: int, j: int) -> SmallSet:

