@@ -8,9 +8,10 @@ array is ordinary 0-based storage.  Cell (i, j) lies in block (k, l) with
 Every reader of a Grid's cells (init_state, first_conflict,
 is_sudoku_matrix, render) takes them from cell_bytes: one row-major
 bytearray, which holds each raw cell as one byte and refuses any that is
-not an int in 0..n².  unit_scan reads the clues at C speed: each unit's
-word is the sum of one slice of the cells' bits, and only a board whose
-sums lose bits to a carry is walked unit by unit to name its first repeat.
+not an int in 0..n², and any board whose rows are not n²×n².  unit_scan
+reads the clues at C speed: each unit's word is the sum of one slice of
+the cells' bits, and only a board whose sums lose bits to a carry is
+walked unit by unit to name its first repeat.
 
 Text goes in and out through per-order tables.  parse reads a generic
 document row by row: each row's tokens are looked up at once, and only a
@@ -63,10 +64,11 @@ class Grid(_Record):
     and store it as that int, or raise ValueError naming the first other
     value.  A raw write to `cells` skips that check, and then every reader
     (solve, init_state, first_conflict, is_sudoku_matrix, render) raises
-    TypeError for a raw cell that is not an int and ValueError for an int
-    outside 0..n², where a bool is the int it is (True reads as 1).  Two
-    grids are == when their order and cells are; grids are mutable and
-    unhashable.
+    TypeError for a raw cell that is not an int, ValueError naming an int
+    outside 0..n² and its cell, where a bool is the int it is (True reads
+    as 1), and the constructor's ValueError for rows that are not n²×n².
+    Two grids are == when their order and cells are; grids are mutable
+    and unhashable.
     """
 
     _fields = ("order", "cells")
@@ -128,21 +130,32 @@ _BYTES = bytes(range(256))
 def cell_bytes(g: Grid) -> bytearray:
     """g's cells row-major, one byte each; the one rule for a raw cell.
 
-    bytearray raises TypeError for a cell that is not an int and
-    ValueError for one outside 0..255; a cell above n² raises ValueError
-    naming it and its (i, j).
+    A board that is not m×m raises the constructor's ValueError; bytearray
+    raises TypeError for a cell that is not an int; an int outside 0..n²
+    raises ValueError naming it and its (i, j).
     """
+    m = g.side
     flat: list[int] = []
     for row in g.cells:     # at C speed per row, unlike a chain per cell
+        if len(row) != m:
+            break
         flat += row
-    cells = bytearray(flat)
-    m = g.side
+    if len(flat) != m * m:  # a short or long row, or m rows too few or many
+        raise ValueError(f"cell array is not {m}x{m}")
+    try:
+        cells = bytearray(flat)
+    except ValueError:      # outside 0..255: find it among the ints
+        k = next(k for k, v in enumerate(flat) if not 0 <= v <= m)
+        raise _outside(flat[k], k, m) from None
     above = cells.translate(None, _BYTES[:m + 1])
     if above:
-        k = cells.find(above[0])
-        raise ValueError(f"cell value {above[0]} at ({k // m + 1}, "
-                         f"{k % m + 1}) outside [0, {m}]")
+        raise _outside(above[0], cells.find(above[0]), m)
     return cells
+
+
+def _outside(v: int, k: int, m: int) -> ValueError:
+    return ValueError(f"cell value {v} at ({k // m + 1}, {k % m + 1}) "
+                      f"outside [0, {m}]")
 
 
 @cache

@@ -3,20 +3,23 @@
 The sieve keeps only the odd numbers, flag i standing for 2i + 1, and works
 through them in segments of `_SEGMENT_BITS` flags, 10**5 numbers each, so
 that no value is as wide as the bound: memory is O(sqrt(n)), the primes up
-to isqrt(n) that strike plus one segment.  A segment starts as one byte of
-1 per odd number, and every odd prime whose square lies in or below it
-strikes its odd multiples there (from p*p on) by one extended-slice
-assignment of zero bytes, sliced from one zero buffer per sieve (which
-saves a bytes object per strike, not the temporary copy CPython makes of
-any slice source that is not a bytearray); `itertools.compress` then
-filters the flags at C speed.  `primes_up_to` filters the odd numbers
-themselves into one list.  `prime_text` makes the
-decimal text without an int per number: a segment is ten blocks of 10**4
-numbers, and each block filters one shared table of the 4-digit odd
-suffixes "0001\n" .. "9999\n", joins them with the block number as the
-prefix and is yielded at once.  A bound above sys.maxsize raises
-OverflowError before any work.  `BitArray` is a general packed bit array
-in machine words, with checked per-bit access.
+to isqrt(n) that strike, one next-multiple offset per prime, plus one
+segment.  A segment starts as one byte of 1 per odd number, and every odd
+prime whose square lies in or below it strikes its odd multiples there by
+one extended-slice assignment of zero bytes, from the offset it kept from
+the segment before (p*p in the segment that first reaches its square),
+which then moves on by the count struck, as in the classic segmented
+sieve.  Each strike slices one zero buffer per sieve (which saves a bytes
+object per strike, not the temporary copy CPython makes of any slice
+source that is not a bytearray); `itertools.compress` then filters the
+flags at C speed.  `primes_up_to` filters the odd numbers themselves into
+one list.  `prime_text` makes the decimal text without an int per number:
+a segment is ten blocks of 10**4 numbers, each block is ten runs of 10**3,
+and each run filters one shared table of the 500 3-digit odd suffixes
+"001\n" .. "999\n" and joins them with the run number as the prefix; a
+block's runs are joined and yielded at once.  A bound above sys.maxsize
+raises OverflowError before any work.  `BitArray` is a general packed bit
+array in machine words, with checked per-bit access.
 """
 
 from __future__ import annotations
@@ -65,9 +68,11 @@ class BitArray:
         return sum(w.bit_count() for w in self.words)
 
 
-# Odd numbers per decimal block of 10**4: block b holds 10**4*b + 1, + 3,
-# ..., + 9999, which are odd-number bits 5000*b to 5000*b + 4999.
-_BLOCK_BITS = 5000
+# Odd numbers per decimal run of 10**3: run r holds 1000*r + 1, + 3, ...,
+# + 999, which are odd-number bits 500*r to 500*r + 499.
+_RUN_BITS = 500
+# Odd numbers per decimal block of 10**4, the text yielded at once: ten runs.
+_BLOCK_BITS = 10 * _RUN_BITS
 # Odd-number bits struck and yielded per step: keeps every temporary of a
 # segment small, whatever the bound.  Ten whole blocks, so segment s holds
 # the numbers 10**5*s + 1 to 10**5*(s + 1).
@@ -93,23 +98,28 @@ def prime_text(n: int) -> Iterator[str]:
             yield "2\n"
         suffixes = _suffixes()
         for c in range(0, len(flags), _BLOCK_BITS):
-            selected = list(compress(suffixes, flags[c:c + _BLOCK_BITS]))
-            if not selected:    # a join would leave a stray prefix
-                continue
-            block = (lo + c) // _BLOCK_BITS
+            runs = []
+            for r in range(c, c + _BLOCK_BITS, _RUN_BITS):
+                selected = compress(suffixes, flags[r:r + _RUN_BITS])
+                run = (lo + r) // _RUN_BITS
+                if run:
+                    prefix = str(run)
+                    text = prefix.join(selected)
+                    if text:    # a join of nothing would leave a stray prefix
+                        runs += prefix, text
+                else:
+                    runs.append("".join([s.lstrip("0") for s in selected]))
+            block = "".join(runs)
             if block:
-                prefix = str(block)
-                yield prefix + prefix.join(selected)
-            else:
-                yield "".join([s.lstrip("0") for s in selected])
+                yield block
         del flags  # so the next segment is made with this one freed
 
 
 @cache
 def _suffixes() -> tuple[str, ...]:
-    """The text of each odd number of a block after its block number:
-    "0001\n", "0003\n", ..., "9999\n", indexed by bit within the block."""
-    return tuple("%04d\n" % i for i in range(1, 2 * _BLOCK_BITS, 2))
+    """The text of each odd number of a run after its run number: "001\n",
+    "003\n", ..., "999\n", indexed by bit within the run."""
+    return tuple("%03d\n" % i for i in range(1, 2 * _RUN_BITS, 2))
 
 
 def _odd_segments(n: int) -> Iterator[tuple[int, bytearray]]:
@@ -127,20 +137,23 @@ def _odd_segments(n: int) -> Iterator[tuple[int, bytearray]]:
     # Every strike copies its zeros from this one buffer, as long as the
     # widest strike (p = 3 over a whole segment) needs.
     zeros = memoryview(bytes(len(range(0, min(_SEGMENT_BITS, length), 3))))
+    # offsets[i]: the next bit odd[i] strikes, counted from the start of the
+    # current segment; a prime joins when a segment first reaches its square.
+    offsets: list[int] = []
     for lo in range(0, length, _SEGMENT_BITS):
         width = min(_SEGMENT_BITS, length - lo)
         flags = bytearray(b"\x01") * width
         if lo == 0:
             flags[0] = 0  # flag 0 is the number 1
-        for p in odd:
-            if p * p // 2 >= lo + width:
-                break
-            first = _first_multiple(p, lo) - lo
-            flags[first::p] = zeros[:len(range(first, width, p))]
+        k = len(offsets)
+        while k < len(odd) and odd[k] * odd[k] // 2 < lo + width:
+            offsets.append(odd[k] * odd[k] // 2 - lo)
+            k += 1
+        # zip stops at the primes that joined; a stride wider than the
+        # segment strikes nothing and carries over.
+        for i, (p, first) in enumerate(zip(odd, offsets)):
+            count = len(range(first, width, p))
+            flags[first::p] = zeros[:count]
+            offsets[i] = first + count * p - width
         yield lo, flags
         del flags
-
-
-def _first_multiple(p: int, lo: int) -> int:
-    """The first bit >= lo that p strikes: an odd multiple of p, p*p on."""
-    return max(p * p // 2, lo + (p // 2 - lo) % p)

@@ -107,12 +107,19 @@ def test_prime_text_yields_one_string_per_block_with_a_prime(n, count):
         assert len({int(p) // 10**4 for p in text.split()}) == 1, text
 
 
-# Beyond the cached suffix table, draining the text holds one segment's
-# flags, one block's text and the zero buffer the strikes copy from:
-# about 120 KB on CPython 3.11.  The bound leaves room for other versions
-# and fails text joined per segment, which peaks near 285 KB.
-def test_prime_text_peak_memory_is_one_block_of_text():
-    sieve._suffixes()
+# Draining the text holds one segment's flags, one block's text, the zero
+# buffer the strikes copy from and one offset per base prime: about 125 KB
+# on CPython 3.11 with the suffix table already built, and about 155 KB
+# when the draining builds it too, as each `sieve N` process does.  The
+# bound leaves room for other versions and fails text joined per segment,
+# which peaks near 285 KB, or a table of 5,000 4-digit suffixes built in
+# the draining, which peaks near 420 KB.
+@pytest.mark.parametrize("table", ["warm", "cold"])
+def test_prime_text_peak_memory_is_one_block_of_text(table):
+    if table == "warm":
+        sieve._suffixes()
+    else:
+        sieve._suffixes.cache_clear()
     tracemalloc.start()
     try:
         for _ in prime_text(10**7):
@@ -121,6 +128,17 @@ def test_prime_text_peak_memory_is_one_block_of_text():
     finally:
         tracemalloc.stop()
     assert peak < 200_000, peak
+
+
+# At these widths a prime's stride can pass a whole segment, so a segment
+# can hold no multiple of a prime that has joined, and its offset must
+# carry over; at the real width of 50,000 flags that needs p > 50,000,
+# so a bound above 2.5e9.
+@pytest.mark.parametrize("width", [2, 7, 64])
+def test_narrow_segments_match_the_plain_sieve(width, monkeypatch):
+    monkeypatch.setattr(sieve, "_SEGMENT_BITS", width)
+    for n in (*range(0, 130), 9973, 10007, 19997, 20011):
+        assert primes_up_to(n) == primes_by_plain_sieve(n), (width, n)
 
 
 def test_one_million():

@@ -419,6 +419,38 @@ def test_raw_cells_outside_the_range_raise(n, v):
         with pytest.raises(expected) as err:
             call()
         assert type(err.value) is expected
+        if expected is ValueError:  # named alike on either side of 0..255
+            assert str(err.value) == (f"cell value {v} at (2, 3) "
+                                      f"outside [0, {m}]")
+
+
+@pytest.mark.parametrize("shape", ["shifted", "short", "long", "missing",
+                                   "extra"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_ragged_raw_boards_raise(n, shape):
+    """A raw board that is not m×m is refused as the constructor refuses
+    it, by every reader of the cells, also when it holds m² cells in all
+    ("shifted": the first row one short, the second one long)."""
+    m = n * n
+    blank = Grid(n, [[0] * m for _ in range(m)])
+    complete = Grid(n, pattern_grid(n))
+    for rows in (blank.cells, complete.cells):
+        if shape == "shifted":
+            rows[1].insert(0, rows[0].pop())
+        elif shape == "short":
+            rows[-1].pop()
+        elif shape == "long":
+            rows[-1].append(0)
+        elif shape == "missing":
+            rows.pop()
+        else:
+            rows.append(list(rows[0]))
+    calls = [lambda: solve(blank, limit=1), lambda: init_state(blank),
+             lambda: first_conflict(blank), lambda: is_sudoku_matrix(complete),
+             lambda: render(blank)]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^cell array is not {m}x{m}$"):
+            call()
 
 
 def test_a_raw_true_reads_as_one():
