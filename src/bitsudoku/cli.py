@@ -7,7 +7,7 @@ stderr.  Exit codes: 0 for a solution, a valid grid or a finished sieve;
 non-UTF-8 input (a closed stdin included), a sieve bound above
 sys.maxsize, and a stdout that is closed or cannot be written, --help's
 included; 141 (128 + SIGPIPE) when the reader closes stdout early, as
-`sieve N | head` does.
+`sieve N | head` does; 130 (128 + SIGINT) on Ctrl-C, with no traceback.
 
 The command line is read as argparse read it, from one table of each
 subcommand's options, without importing argparse: the subcommand comes
@@ -46,8 +46,8 @@ import gc
 import os
 import sys
 
-from .grid import (IncompleteGridError, PuzzleFormatError, is_sudoku_matrix,
-                   parse, render)
+from .grid import (IncompleteGridError, PuzzleFormatError, ascii_int,
+                   is_sudoku_matrix, parse, render)
 from .sieve import prime_text
 from .solver import ConflictError, Event, SolveReport, solve
 
@@ -143,30 +143,19 @@ def _read_text(path: str) -> str:
     return data.decode()                # strictly UTF-8, whatever the route
 
 
-def _ascii_int(text: str) -> int:
-    """A number in ASCII digits only, as parse() reads a clue: no sign.
-    Leading zeros do not count toward int()'s digit limit."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"invalid number {text!r}")
-    digits = text.lstrip("0") or "0"
-    try:
-        return int(digits)
-    except ValueError:          # past int()'s digit limit
-        raise ValueError(
-            f"invalid number of {len(digits)} digits") from None
-
-
 def _value(cmd: str, name: str, text: str) -> int | str:
     """The value of option `name` (or of N) given as `text`."""
     try:
         if name != "--format":
-            return _ascii_int(text)
+            return ascii_int(text)
         if text in ("generic", "classic"):
             return text
         raise ValueError(f"invalid choice: {text!r} "
                          "(choose from 'generic', 'classic')")
     except ValueError as exc:
         _fail(cmd, f"argument {name}: {exc}")
+    except OverflowError as exc:
+        _fail(cmd, f"argument {name}: invalid number of {exc} digits")
 
 
 def _parse(argv: list[str]) -> _Args:
@@ -307,5 +296,7 @@ def entry() -> int:
     the collections at interpreter exit do not walk them."""
     try:
         return main()
+    except KeyboardInterrupt:
+        return 130
     finally:
         gc.freeze()

@@ -294,19 +294,31 @@ def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
     return Grid._adopt(order, cells)
 
 
+def ascii_int(text: str) -> int:
+    """The number `text` writes in ASCII digits alone, with no sign, space
+    or underscore: a clue to parse(), N, --cap and --limit to the CLI.
+    Leading zeros do not count toward int()'s digit limit.  Raises
+    ValueError for any other text, and OverflowError, whose one argument
+    is the count of digits after the leading zeros, past that limit."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"invalid number {text!r}")
+    digits = text.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:
+        raise OverflowError(len(digits)) from None
+
+
 def _value(token: str, m: int, lineno: int, col: int) -> int:
     """The value of one generic token, or the PuzzleFormatError naming it."""
-    if not (token.isascii() and token.isdigit()):
-        raise PuzzleFormatError(f"malformed value {token!r}", lineno, col)
     try:
-        v = int(token)
-    except ValueError:  # past int()'s digit limit; zeros don't count
-        digits = token.lstrip("0")
-        if len(digits) > 2:     # at least 100, above any side
-            raise PuzzleFormatError(
-                f"value of {len(digits)} digits outside [0, {m}]",
-                lineno, col) from None
-        v = int(digits or "0")
+        v = ascii_int(token)
+    except ValueError:
+        raise PuzzleFormatError(f"malformed value {token!r}",
+                                lineno, col) from None
+    except OverflowError as exc:
+        raise PuzzleFormatError(f"value of {exc} digits outside [0, {m}]",
+                                lineno, col) from None
     if not 0 <= v <= m:
         raise PuzzleFormatError(f"value {v} outside [0, {m}]", lineno, col)
     return v

@@ -4,10 +4,11 @@ For every blank cell the legal values are the intersection of the values
 still missing from its row, its column, and its block.  Propagation sweeps
 the blanks in row-major order: an empty intersection is a contradiction, a
 singleton is assigned on the spot, and a sweep that assigns nothing leaves
-the rest to trial and error.  Each trial speculatively assigns one
-candidate at the branching cell and propagates again, in one loop over a
-stack of frames; trials are counted, every solution is counted, and
-enumeration is exhaustive unless a limit is set.
+the rest to trial and error, naming as it goes the cell with the fewest
+candidates, so search never rescans the blanks to choose one.  Each trial
+speculatively assigns one candidate at the branching cell and propagates
+again, in one loop over a stack of frames; trials are counted, every
+solution is counted, and enumeration is exhaustive unless a limit is set.
 
 The state is flat.  Cell (i, j) of an m×m board is index k = (i-1)·m + j-1
 of one cell list, and the 3m unit words share one list, built from the
@@ -18,7 +19,8 @@ saves its words and open list (less its branch cell), never its cells; the
 deepest frame with values left restores them after a dead end or a
 solution, so propagation must replace the open list, never mutate it.
 The sweep itself is one private function on bare lists, _sweep: solve
-calls it on its own locals, and propagate wraps it for a SolverState.
+calls it on its own locals and branches on the cell it names, and
+propagate wraps it for a SolverState and drops that cell.
 A placement clears its value's bit by XOR, which is exact only because
 the bit is known to be in all three words.
 """
@@ -199,23 +201,49 @@ def propagate(state: SolverState) -> tuple[SolverState, Event, int]:
     a completed sweep that assigned nothing.  The pass count is the number
     of completed sweeps (0 when the grid arrives complete).
     """
-    state.open, event, passes = _sweep(state.cells, state.words,
-                                       unit_table(state.order), state.open)
+    state.open, event, passes, _ = _sweep(state.cells, state.words,
+                                          unit_table(state.order), state.open)
     return state, event, passes
 
 
 def _sweep(cells: list[int], words: list[int],
            units: tuple[tuple[int, int, int], ...], open_: list[int]
-           ) -> tuple[list[int], Event, int]:
-    """propagate on bare lists: the new open list, the event and the pass
-    count.  open_ is never mutated: solve's trials share one list."""
+           ) -> tuple[list[int], Event, int, int]:
+    """propagate on bare lists: the new open list, the event, the pass
+    count and, after E3, a kept cell with the fewest candidates (the first
+    in row-major order; -1 after E1 or E2).  open_ is never mutated: solve's
+    trials share one list."""
     if not open_:
-        return open_, _E2, 0
+        return open_, _E2, 0, -1
     passes = 0
     while True:
         placed = 0
         survivors: list[int] = []
-        for k in open_:
+        left = iter(open_)
+        # Note the fewest-candidates cell until the pass places a value or
+        # meets two candidates, the fewest a kept cell can have; the sweep
+        # loop below then finishes the pass.  An E3 pass places nothing, so
+        # its words never change and the note is the cell a rescan would pick.
+        best, best_size = -1, len(words)    # 3m, above any candidate count
+        for k in left:
+            a, b, c = units[k]
+            p = words[a] & words[b] & words[c]
+            if not p & (p - 1):
+                if not p:
+                    return survivors + open_[len(survivors):], _E1, passes, -1
+                cells[k] = p.bit_length()
+                words[a] ^= p
+                words[b] ^= p
+                words[c] ^= p
+                placed = 1
+                break
+            survivors.append(k)
+            size = p.bit_count()
+            if size < best_size:
+                best, best_size = k, size
+                if size == 2:
+                    break
+        for k in left:
             a, b, c = units[k]
             p = words[a] & words[b] & words[c]
             if p & (p - 1):             # two or more candidates
@@ -231,29 +259,13 @@ def _sweep(cells: list[int], words: list[int],
             else:
                 # Every cell before k either survived or was placed.
                 return (survivors + open_[len(survivors) + placed:], _E1,
-                        passes)
+                        passes, -1)
         passes += 1
         open_ = survivors
         if not open_:
-            return open_, _E2, passes
+            return open_, _E2, passes, -1
         if not placed:
-            return open_, _E3, passes
-
-
-def _branch_cell(open_: list[int], words: list[int],
-                 units: tuple[tuple[int, int, int], ...], policy: str) -> int:
-    if policy == FIRST_BLANK:
-        return open_[0]
-    best = open_[0]
-    best_size = len(words)          # 3m, above any candidate count
-    for k in open_:
-        a, b, c = units[k]
-        size = (words[a] & words[b] & words[c]).bit_count()
-        if size < best_size:
-            best, best_size = k, size
-            if size == 2:
-                break
-    return best
+            return open_, _E3, passes, best
 
 
 def solve(g: Grid, cap: int = 1, limit: int | None = None,
@@ -266,8 +278,9 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
     `limit` set, enumeration stops as soon as that many solutions have been
     counted and the reported count is a lower bound, truncated if values
     were left untried.  The default policy branches on a cell with the
-    fewest candidates (ties row-major); FIRST_BLANK always takes the first
-    blank, which changes the trial count but never the solution count.
+    fewest candidates (ties row-major), the one the stalled sweep names;
+    FIRST_BLANK always takes the first blank, which changes the trial count
+    but never the solution count.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -288,11 +301,13 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
     # keeps its value on the path to it, and an open cell a failed trial
     # wrote is rewritten before any E2 reads the cells through state.grid.
     stack: list[tuple[int, int, list[int], list[int]]] = []
-    open_, root_event, passes_total = _sweep(cells, words, units, state.open)
+    first_blank = branch == FIRST_BLANK
+    open_, root_event, passes_total, noted = _sweep(cells, words, units,
+                                                    state.open)
     event = root_event
     while True:
         if event is _E3:
-            k = _branch_cell(open_, words, units, branch)
+            k = open_[0] if first_blank else noted
             a, b, c = units[k]
             untried = words[a] & words[b] & words[c]
             saved_words = words[:]
@@ -322,7 +337,7 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
         words[a] ^= bit
         words[b] ^= bit
         words[c] ^= bit
-        open_, event, passes = _sweep(cells, words, units, rest)
+        open_, event, passes, noted = _sweep(cells, words, units, rest)
         passes_total += passes
     return SolveReport(solution_count=count, solutions=solutions,
                        trials=trials, propagation_passes=passes_total,

@@ -341,13 +341,14 @@ def ref_render(order: int, cells: list[list[int]]) -> str:
 def ref_token(token: str, m: int) -> tuple[int | None, str | None]:
     """One generic-format token on a side-m board, read digit by digit:
     (value, None) when it is ASCII digits naming 0..m, leading zeros
-    allowed; otherwise (None, the message parse() gives).  A value too long
-    for int() is named by its digits after the leading zeros."""
+    allowed; otherwise (None, the message parse() gives).  Leading zeros
+    change no message: a value whose digits after them are too many for
+    int() is named by their count."""
     if not token or any(ch not in "0123456789" for ch in token):
         return None, f"malformed value {token!r}"
     digits = token.lstrip("0")
     limit = sys.get_int_max_str_digits()
-    if limit and len(token) > limit and len(digits) > 2:
+    if limit and len(digits) > limit:
         return None, f"value of {len(digits)} digits outside [0, {m}]"
     v = 0
     for ch in digits:

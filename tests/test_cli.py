@@ -5,6 +5,7 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -337,6 +338,19 @@ def test_sieve_into_a_closed_pipe_exits_141_quietly():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141
     assert err == b""
+
+
+def test_sieve_interrupted_by_ctrl_c_exits_130_quietly():
+    proc = _process([sys.executable, "-m", "bitsudoku", "sieve",
+                     "1000000000"])
+    try:
+        assert proc.stdout.readline() == b"2\n"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert b"Traceback" not in err
+    finally:
+        proc.kill()
 
 
 class _Discard:

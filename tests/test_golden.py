@@ -65,6 +65,13 @@ GOLDEN = {
     (4, 3, 130): {
         FC: (1, 508, 617, True, E3, "26057d4da2ffbcde"),
         FB: (1, 496, 614, True, E3, "26057d4da2ffbcde")},
+    # The blank board: no early two-candidate cell, so the fewest-candidates
+    # choice is a minimum over most of the open list at every stall.  Its
+    # row was recorded from the int-word engine while it still rescanned
+    # the open list for that choice.
+    (4, 1, 256): {
+        FC: (1, 191, 228, True, E3, "3de2c06238a1c687"),
+        FB: (1, 175, 227, True, E3, "21af9417da15fe38")},
     (5, 2, 245): {
         FC: (1, 0, 7, False, E2, "c5c69c25c1e0271d"),
         FB: (1, 0, 7, False, E2, "c5c69c25c1e0271d")},

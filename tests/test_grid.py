@@ -379,6 +379,20 @@ def test_parse_judges_over_long_values_by_their_digits():
                               "(line 3, column 2)")
 
 
+# One rule reads a clue and the command line's numbers: a value padded with
+# zeros, even past int()'s digit limit, fails as the bare value does.
+@pytest.mark.parametrize("value", ["5", "123", "9" * 4000, "9" * 5000],
+                         ids=len)
+def test_leading_zeros_never_change_the_message(value):
+    messages = []
+    for token in (value, "0" * 5000 + value):
+        with pytest.raises(PuzzleFormatError) as err:
+            parse(f"2\n1 2 3 4\n3 {token} 1 2\n2 1 4 3\n4 3 2 1\n")
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == ref_token(value, 4)[1] + " (line 3, column 2)"
+
+
 def test_parse_classic_rejects_foreign_characters():
     with pytest.raises(PuzzleFormatError) as err:
         parse(CLASSIC_81[:40] + "x" + CLASSIC_81[41:])

@@ -529,7 +529,9 @@ def test_9x9_solutions_match_brute_force():
 
 def _counter_corpus():
     """Seeded boards, each with the limits to run it under: exhaustive
-    counts at orders 2 and 3, the first 1-3 solutions at order 4."""
+    counts at orders 2 and 3, the first 1-3 solutions at order 4, and the
+    first solution of the blank 16×16 board and of a few 25×25 boards
+    that reach search, where the branch cell is chosen among hundreds."""
     yield 2, WITNESS_4, [None]
     rng = random.Random(20120119)
     for _ in range(12):
@@ -541,6 +543,10 @@ def _counter_corpus():
     for _ in range(4):
         yield 4, delete_cells(shuffled_valid_grid(4, rng),
                               rng.randint(115, 135), rng), [1, 2, 3]
+    yield 4, [[0] * 16 for _ in range(16)], [1]
+    for seed, blanks in ((16, 260), (29, 265), (18, 270), (11, 275)):
+        rng = random.Random(seed)
+        yield 5, delete_cells(shuffled_valid_grid(5, rng), blanks, rng), [1]
 
 
 @pytest.mark.parametrize("branch", [FEWEST_CANDIDATES, FIRST_BLANK])
