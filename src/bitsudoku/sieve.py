@@ -92,7 +92,9 @@ def prime_text(n: int) -> Iterator[str]:
     """The primes p <= n in decimal, one per line: "2\n", then one string
     per decimal block of 10**4 numbers that holds a prime.  The bound check
     and the primes up to isqrt(n) come first, so a bound too large to sieve
-    raises before any text."""
+    raises before any text.  A block is made of ten 10**3-number runs but
+    yielded whole: the CLI writes each string at once, and a write can be
+    a system call, as it is on every write when PYTHONUNBUFFERED is set."""
     for lo, flags in _odd_segments(n):
         if lo == 0:
             yield "2\n"

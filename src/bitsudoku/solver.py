@@ -212,7 +212,9 @@ def _sweep(cells: list[int], words: list[int],
     """propagate on bare lists: the new open list, the event, the pass
     count and, after E3, a kept cell with the fewest candidates (the first
     in row-major order; -1 after E1 or E2).  open_ is never mutated: solve's
-    trials share one list."""
+    trials share one list.  Every pass builds a new list, so the one
+    returned after E3 is held by no one else, and solve takes its branch
+    cell out of it in place to make the frame's list."""
     if not open_:
         return open_, _E2, 0, -1
     passes = 0
@@ -311,8 +313,7 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
             a, b, c = units[k]
             untried = words[a] & words[b] & words[c]
             saved_words = words[:]
-            rest = open_.copy()
-            rest.remove(k)
+            open_.remove(k)
         else:
             if event is _E2:
                 count += 1
@@ -323,13 +324,13 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
             if not stack:
                 break
             # Back from a leaf: restore the deepest frame with values left.
-            untried, k, saved_words, rest = stack.pop()
+            untried, k, saved_words, open_ = stack.pop()
             words[:] = saved_words
             a, b, c = units[k]
         bit = untried & -untried       # lowest value first
         untried ^= bit
         if untried:
-            stack.append((untried, k, saved_words, rest))
+            stack.append((untried, k, saved_words, open_))
         trials += 1
         # bit is in all three words: untried is a subset of their AND, taken
         # on the words a popped frame has just restored.  So XOR clears it.
@@ -337,7 +338,7 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
         words[a] ^= bit
         words[b] ^= bit
         words[c] ^= bit
-        open_, event, passes, noted = _sweep(cells, words, units, rest)
+        open_, event, passes, noted = _sweep(cells, words, units, open_)
         passes_total += passes
     return SolveReport(solution_count=count, solutions=solutions,
                        trials=trials, propagation_passes=passes_total,

@@ -25,7 +25,6 @@ from oracles import (CLASSIC_81, INVALID_4, clues, delete_cells,
 
 EMPTY_4 = "2\n" + "0 0 0 0\n" * 4
 COMPLETE_4 = "2\n1 2 3 4\n3 4 1 2\n2 1 4 3\n4 3 2 1\n"
-WITNESS_4 = "2\n0 2 3 4\n1 0 0 0\n0 0 0 0\n0 0 0 0\n"
 REPEATED_4 = "2\n1 0 0 1\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -43,48 +42,11 @@ def _process(argv, cwd=None, **env):
 
 @pytest.fixture
 def puzzle_file(tmp_path):
-    def write(text, name="puzzle.txt"):
-        path = tmp_path / name
+    def write(text):
+        path = tmp_path / "puzzle.txt"
         path.write_text(text)
         return str(path)
     return write
-
-
-def test_count_empty_shidoku(puzzle_file, capsys):
-    code = main(["count", puzzle_file(EMPTY_4)])
-    assert capsys.readouterr().out == "solutions=288\n"
-    assert code == 0
-
-
-def test_count_with_limit_marks_lower_bound(puzzle_file, capsys):
-    code = main(["count", "--limit", "10", puzzle_file(EMPTY_4)])
-    assert capsys.readouterr().out == "solutions=10+\n"
-    assert code == 0
-
-
-def test_count_stats_line_is_machine_parseable(puzzle_file, capsys):
-    code = main(["count", "--stats", puzzle_file(COMPLETE_4)])
-    assert capsys.readouterr().out == "solutions=1 trials=0 passes=0\n"
-    assert code == 0
-
-
-def test_solve_echoes_complete_grid_with_stats(puzzle_file, capsys):
-    code = main(["solve", "--stats", puzzle_file(COMPLETE_4)])
-    out = capsys.readouterr().out
-    assert out == COMPLETE_4 + "solutions=1 trials=0 passes=0\n"
-    assert code == 0
-
-
-def test_count_witness_is_unsolvable(puzzle_file, capsys):
-    code = main(["count", puzzle_file(WITNESS_4)])
-    assert capsys.readouterr().out == "solutions=0\n"
-    assert code == 1
-
-
-def test_solve_witness_prints_unsolvable(puzzle_file, capsys):
-    code = main(["solve", puzzle_file(WITNESS_4)])
-    assert capsys.readouterr().out == "UNSOLVABLE\n"
-    assert code == 1
 
 
 def test_solve_output_reparses_as_valid_grid(puzzle_file, capsys):
@@ -96,70 +58,6 @@ def test_solve_output_reparses_as_valid_grid(puzzle_file, capsys):
     original = parse(CLASSIC_81)
     for i, j, v in clues(original):
         assert solved.value(i, j) == v
-
-
-def test_solve_then_check_round_trip(puzzle_file, capsys):
-    assert main(["solve", puzzle_file(EMPTY_4)]) == 0
-    solved = capsys.readouterr().out
-    assert main(["check", puzzle_file(solved, "solved.txt")]) == 0
-    assert capsys.readouterr().out == "VALID\n"
-
-
-def test_check_valid_and_invalid(puzzle_file, capsys):
-    assert main(["check", puzzle_file(COMPLETE_4)]) == 0
-    assert capsys.readouterr().out == "VALID\n"
-    assert main(["check", puzzle_file(INVALID_4, "bad.txt")]) == 1
-    assert capsys.readouterr().out == "INVALID\n"
-
-
-def test_check_rejects_incomplete_grid(puzzle_file, capsys):
-    code = main(["check", puzzle_file(EMPTY_4)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "complete" in captured.err
-
-
-def test_parse_error_exits_2(puzzle_file, capsys):
-    code = main(["count", puzzle_file("2\n1 2 3 9\n0 0 0 0\n0 0 0 0\n0 0 0 0\n")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "error" in captured.err
-
-
-def test_missing_file_exits_2(capsys):
-    code = main(["count", "/nonexistent/puzzle.txt"])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
-
-
-def test_non_utf8_file_exits_2(tmp_path, capsys):
-    path = tmp_path / "bad.txt"
-    path.write_bytes(b"\xff\xfe5300")
-    code = main(["solve", str(path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-
-
-def test_reads_from_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin",
-                        io.TextIOWrapper(io.BytesIO(EMPTY_4.encode())))
-    code = main(["count", "-"])
-    assert capsys.readouterr().out == "solutions=288\n"
-    assert code == 0
-
-
-def test_undecodable_stdin_names_the_byte(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin",
-                        io.TextIOWrapper(io.BytesIO(b"\xff\xfe5300")))
-    code = main(["solve", "-"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "byte 0xff" in captured.err
 
 
 def test_stdin_rejects_the_bytes_a_file_rejects(tmp_path, capsys):
@@ -248,63 +146,6 @@ def test_help_into_a_full_stdout_is_an_output_error(argv, unbuffered):
     assert err.count(b"\n") == 1
 
 
-def test_classic_output_format(puzzle_file, capsys):
-    code = main(["solve", "--format", "classic", puzzle_file(CLASSIC_81)])
-    out = capsys.readouterr().out
-    assert code == 0
-    line = out.strip()
-    assert len(line) == 81 and line.isdigit() and "0" not in line
-
-
-def test_classic_format_rejected_for_other_orders(puzzle_file, capsys):
-    code = main(["solve", "--format", "classic", puzzle_file(EMPTY_4)])
-    assert code == 2
-    assert "order-3" in capsys.readouterr().err
-
-
-def test_classic_format_is_ignored_by_count(puzzle_file, capsys):
-    code = main(["count", "--format", "classic", puzzle_file(EMPTY_4)])
-    assert capsys.readouterr().out == "solutions=288\n"
-    assert code == 0
-
-
-def test_classic_format_is_ignored_by_check(puzzle_file, capsys):
-    grid = shuffled_valid_grid(4, random.Random(1))
-    text = "4\n" + "".join(" ".join(map(str, row)) + "\n" for row in grid)
-    code = main(["check", "--format", "classic", puzzle_file(text)])
-    assert capsys.readouterr().out == "VALID\n"
-    assert code == 0
-
-
-def test_conflicting_clues_count_as_unsolvable(puzzle_file, capsys):
-    twice = "2\n1 0 1 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
-    code = main(["count", puzzle_file(twice)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == "solutions=0\n"
-    assert "conflicting" in captured.err
-
-
-@pytest.mark.parametrize("command,verdict", [
-    ("solve", "UNSOLVABLE\n"),
-    ("count", ""),
-])
-def test_conflicting_clues_report_zero_stats(command, verdict, puzzle_file,
-                                             capsys):
-    twice = "2\n1 0 1 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"
-    code = main([command, "--stats", puzzle_file(twice)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == verdict + "solutions=0 trials=0 passes=0\n"
-    assert "conflicting" in captured.err
-
-
-def test_sieve_lists_primes(capsys):
-    code = main(["sieve", "10"])
-    assert capsys.readouterr().out == "2\n3\n5\n7\n"
-    assert code == 0
-
-
 @cache
 def _trial_primes():
     """One trial-division list, read by prefix for each bound below."""
@@ -389,79 +230,6 @@ def test_sieve_memory_does_not_grow_with_the_bound(monkeypatch):
     assert peak < 1.5e6, peak
 
 
-def test_sieve_one_yields_nothing(capsys):
-    code = main(["sieve", "1"])
-    assert capsys.readouterr().out == ""
-    assert code == 0
-
-
-# Neither bound is sieved: both are above sys.maxsize (2**63 - 1), the
-# stated limit, so each fails before any work and before any output.
-@pytest.mark.parametrize("bound", ["1000000000000000000000",
-                                   "10000000000000000000"])
-def test_sieve_bound_too_large_to_allocate_exits_2(bound, capsys):
-    code = main(["sieve", bound])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: N={bound} is too large to sieve\n"
-
-
-@pytest.mark.parametrize("argv", [
-    ["count", "--limit", "0", "x"],
-    ["solve", "--cap", "-1", "x"],
-    ["sieve", "--", "-5"],
-    ["frobnicate", "x"],
-    [],
-    # Numbers take ASCII digits only, as puzzle files do.
-    ["sieve", "\u0663"],             # ARABIC-INDIC DIGIT THREE
-    ["sieve", "+7"],
-    ["sieve", "1_0"],
-    ["sieve", " 7 "],
-    ["count", "--limit", "\u0662", "x"],
-    ["solve", "--cap", "+1", "x"],
-])
-def test_usage_errors_exit_2(argv, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
-
-
-# int() refuses a string of more than 4300 digits; leading zeros do not
-# count, and a longer number is one error line and exit 2, not a traceback
-# and exit 1, which count would read as "no solutions".
-def test_over_long_value_in_a_puzzle_exits_2(puzzle_file, capsys):
-    text = "2\n1 2 3 4\n3 1" + "0" * 5000 + " 1 2\n2 1 4 3\n4 3 2 1\n"
-    code = main(["count", puzzle_file(text)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == ("error: value of 5001 digits outside [0, 4] "
-                            "(line 3, column 2)\n")
-
-
-@pytest.mark.parametrize("argv", [
-    ["sieve", "1" * 5000],
-    ["count", "--limit", "1" * 5000, "x"],
-    ["solve", "--cap", "0" * 9 + "1" * 5000, "x"],
-])
-def test_over_long_numbers_are_usage_errors(argv, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
-    assert "invalid number of 5000 digits" in capsys.readouterr().err
-
-
-def test_zero_padded_numbers_keep_their_value(puzzle_file, capsys):
-    pad = "0" * 5000
-    code = main(["count", "--limit", pad + "9",
-                 puzzle_file(EMPTY_4.replace("0", pad))])
-    assert capsys.readouterr().out == "solutions=9+\n"
-    assert code == 0
-    assert main(["sieve", pad + "7"]) == 0
-    assert capsys.readouterr().out == "2\n3\n5\n7\n"
-
-
 def test_count_retains_no_boards_whatever_the_cap(puzzle_file, monkeypatch,
                                                   capsys):
     caps = []
@@ -476,21 +244,6 @@ def test_count_retains_no_boards_whatever_the_cap(puzzle_file, monkeypatch,
     assert code == 0
     assert capsys.readouterr().out == "solutions=288\n"
     assert caps == [0]
-
-
-def test_solve_keeps_a_solution_even_with_cap_zero(puzzle_file, capsys):
-    code = main(["solve", "--cap", "0", puzzle_file(COMPLETE_4)])
-    assert code == 0
-    assert capsys.readouterr().out == COMPLETE_4
-
-
-def test_repeat_invocations_are_byte_identical(puzzle_file, capsys):
-    path = puzzle_file(EMPTY_4)
-    runs = []
-    for _ in range(2):
-        main(["count", "--stats", "--limit", "50", path])
-        runs.append(capsys.readouterr().out.encode())
-    assert runs[0] == runs[1]
 
 
 # Modules whose import cost a bare interpreter start should not pay: the
@@ -539,12 +292,19 @@ def test_cli_process_loads_no_argument_parser(argv):
     assert loaded.isdisjoint({"argparse", "gettext", "locale"})
 
 
-def _main_code(argv):
-    """In-process main()'s exit code, a usage error's SystemExit included."""
+def _in_process(argv, data, monkeypatch):
+    """main(argv)'s exit code, stdout and stderr, with the bytes `data` on
+    stdin; a usage error's SystemExit is read as its exit code."""
+    out, err = io.BytesIO(), io.BytesIO()
+    for name, buffer in (("stdin", io.BytesIO(data)), ("stdout", out),
+                         ("stderr", err)):
+        monkeypatch.setattr(sys, name, io.TextIOWrapper(
+            buffer, "utf-8", write_through=True))
     try:
-        return main(argv)
+        code = main(argv)
     except SystemExit as exc:
-        return exc.code
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 # The process entry returns to whatever ran `__main__`, so a wrapper's
@@ -555,11 +315,11 @@ def _main_code(argv):
     (REPEATED_4, ["solve"], 1),
     (EMPTY_4, ["solve", "--cap", "x"], 2),      # usage error: SystemExit
 ], ids=["solved", "unsolvable", "usage-error"])
-def test_process_entry_returns_to_its_caller(puzzle_file, capsys, text,
+def test_process_entry_returns_to_its_caller(puzzle_file, monkeypatch, text,
                                              argv, code):
     path = puzzle_file(text)
-    assert _main_code(argv + [path]) == code
-    expected = capsys.readouterr().out.encode()
+    expected_code, expected, _ = _in_process(argv + [path], b"", monkeypatch)
+    assert expected_code == code
     proc = _process([sys.executable, "-c", _LOADED, *argv, path])
     out, err = proc.communicate(timeout=60)
     assert b"\nLOADED " in err
@@ -567,8 +327,12 @@ def test_process_entry_returns_to_its_caller(puzzle_file, capsys, text,
     assert out == expected
 
 
-def _process_inputs():
-    """The files PROCESS_ROWS read, by name."""
+PAD = "0" * 5000
+
+
+@cache
+def _inputs():
+    """The files the rows of both tables read, by name, as bytes."""
     repeat25 = [[0] * 25 for _ in range(25)]
     repeat25[0][0] = repeat25[1][1] = 7
     swapped25 = pattern_grid(5)
@@ -579,7 +343,7 @@ def _process_inputs():
     padded25 = ["# the board of plain25.txt, zero-padded", "5"]
     for row in plain25:
         padded25 += ["", "# a row", " ".join("%03d" % v for v in row)]
-    return {
+    texts = {
         "blank16.txt": ref_render(4, [[0] * 16] * 16),
         "repeat25.txt": ref_render(5, repeat25),
         "swapped25.txt": ref_render(5, swapped25),
@@ -587,19 +351,47 @@ def _process_inputs():
         "padded25.txt": "".join(line + "\n" for line in padded25),
         "crlf4.txt": "2\r\n1 0 0 0\r\n0 0 0 0\r\n0 0 0 0\r\n0 0 0 0\r\n",
         "classic.txt": CLASSIC_81 + "\n",
+        "empty4.txt": EMPTY_4,
+        "complete4.txt": COMPLETE_4,
+        "witness4.txt": "2\n0 2 3 4\n1 0 0 0\n0 0 0 0\n0 0 0 0\n",
+        "invalid4.txt": INVALID_4,
+        "twice4.txt": "2\n1 0 1 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n",
+        "value9.txt": "2\n1 2 3 9\n0 0 0 0\n0 0 0 0\n0 0 0 0\n",
+        "long-value.txt": "2\n1 2 3 4\n3 1" + PAD + " 1 2\n2 1 4 3\n4 3 2 1\n",
+        "padded4.txt": EMPTY_4.replace("0", PAD),
+        "valid16.txt": ref_render(4, shuffled_valid_grid(4, random.Random(1))),
+        "empty.txt": "",
     }
+    return {name: text.encode() for name, text in texts.items()} | {
+        "non-utf8.txt": b"\xff\xfe5300"}
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("inputs")
+    for name, data in _inputs().items():
+        (path / name).write_bytes(data)
+    return path
 
 
 def _starts(line):
     return re.compile(re.escape(line.encode() + b"\n"))
 
 
+def _exactly(line):
+    return re.compile(re.escape(line.encode() + b"\n") + rb"\Z")
+
+
 SOLVED_PLAIN25 = ("a6b18135e64ffd72163267f0c4df20e7"
                   "b246712a908c0cf29dd539b356dce165")
 
-# name: (argv, stdin, exit code, stdout, what stderr holds).  stdin names an
-# input file or an earlier row, whose stdout it then reads; stdout is the
-# exact bytes, their sha256, or a pattern that matches from their start.
+# Both tables map a name to (argv, stdin, exit code, stdout, stderr).  stdin
+# names an input file or an earlier row of the same table, whose stdout it
+# then reads; None is an empty stdin.  stdout is the exact bytes, their
+# sha256, or a pattern that matches from their start; stderr is bytes it
+# holds or a pattern that matches from its start.  PROCESS_ROWS run as
+# processes, CLI_ROWS through main() in this process, and _judge reads a
+# run of either by this one rule.
 PROCESS_ROWS = {
     "help": (["--help"], None, 0, _starts(
         "usage: bitsudoku [-h] {solve,count,check,sieve} ..."), b""),
@@ -634,6 +426,104 @@ PROCESS_ROWS = {
 }
 
 
+_USAGE = re.compile(rb"usage: bitsudoku")
+_ERROR = re.compile(rb"error: ")
+
+CLI_ROWS = {
+    "count": (["count", "empty4.txt"], None, 0, b"solutions=288\n", b""),
+    "count-stdin": (["count", "-"], "empty4.txt", 0, b"solutions=288\n", b""),
+    "count-empty-stdin": (["count", "-"], "empty.txt", 2, b"",
+                          _exactly("error: empty puzzle document")),
+    # A count stopped by its limit is a lower bound, marked by its +.
+    "count-limit": (["count", "--limit", "10", "empty4.txt"], None, 0,
+                    b"solutions=10+\n", b""),
+    "count-limit-50": (["count", "--stats", "--limit", "50", "empty4.txt"],
+                       None, 0, b"solutions=50+ trials=102 passes=167\n", b""),
+    **{command + "-stats": ([command, "--stats", "complete4.txt"], None, 0,
+                            board + b"solutions=1 trials=0 passes=0\n", b"")
+       for command, board in (("solve", COMPLETE_4.encode()), ("count", b""))},
+    # solve keeps the board it prints, whatever --cap says.
+    "solve-cap-0": (["solve", "--cap", "0", "complete4.txt"], None, 0,
+                    COMPLETE_4.encode(), b""),
+    **{command + "-witness": ([command, "witness4.txt"], None, 1, verdict, b"")
+       for command, verdict in (("count", b"solutions=0\n"),
+                                ("solve", b"UNSOLVABLE\n"))},
+    "solve": (["solve", "empty4.txt"], None, 0, COMPLETE_4.encode(), b""),
+    "check-solved": (["check", "-"], "solve", 0, b"VALID\n", b""),
+    "check-valid": (["check", "complete4.txt"], None, 0, b"VALID\n", b""),
+    "check-stats": (["check", "--stats", "complete4.txt"], None, 0,
+                    b"VALID\n", b""),
+    "check-invalid": (["check", "invalid4.txt"], None, 1, b"INVALID\n", b""),
+    "check-incomplete": (["check", "empty4.txt"], None, 2, b"", b"complete"),
+    # Conflicting clues are a board with no solution, not an input error.
+    "count-conflict": (["count", "twice4.txt"], None, 1, b"solutions=0\n",
+                       b"conflicting"),
+    **{command + "-stats-conflict": (
+        [command, "--stats", "twice4.txt"], None, 1,
+        verdict + b"solutions=0 trials=0 passes=0\n", b"conflicting")
+       for command, verdict in (("solve", b"UNSOLVABLE\n"), ("count", b""))},
+    "count-value-9": (["count", "value9.txt"], None, 2, b"", _exactly(
+        "error: value 9 outside [0, 4] (line 2, column 4)")),
+    "count-missing": (["count", "missing.txt"], None, 2, b"", _ERROR),
+    "solve-non-utf8-file": (["solve", "non-utf8.txt"], None, 2, b"", _ERROR),
+    "solve-non-utf8-stdin": (["solve", "-"], "non-utf8.txt", 2, b"",
+                             re.compile(rb"error: .*byte 0xff")),
+    "classic-file": (["solve", "--format", "classic", "classic.txt"], None, 0,
+                     re.compile(rb"[1-9]{81}\n\Z"), b""),
+    # Only solve renders a board, so only solve refuses classic at order 2.
+    "classic-order-2": (["solve", "--format", "classic", "empty4.txt"], None,
+                        2, b"", b"order-3"),
+    "count-classic": (["count", "--format", "classic", "empty4.txt"], None, 0,
+                      b"solutions=288\n", b""),
+    "check-classic": (["check", "--format", "classic", "valid16.txt"], None,
+                      0, b"VALID\n", b""),
+    "sieve-10": (["sieve", "10"], None, 0, b"2\n3\n5\n7\n", b""),
+    "sieve-10-stats-classic": (["sieve", "10", "--stats", "--format",
+                                "classic"], None, 0, b"2\n3\n5\n7\n", b""),
+    "sieve-1": (["sieve", "1"], None, 0, b"", b""),
+    # Bounds above sys.maxsize fail before any work and any output.
+    **{f"sieve-1e{e}": (["sieve", "1" + "0" * e], None, 2, b"", _exactly(
+        f"error: N=1{'0' * e} is too large to sieve")) for e in (21, 19)},
+    # Usage errors.  Numbers take ASCII digits only, as puzzle files do.
+    **{"usage-" + name: (argv, None, 2, b"", _USAGE) for name, argv in (
+        ("limit-0", ["count", "--limit", "0", "x"]), ("plus", ["sieve", "+7"]),
+        ("cap-plus", ["solve", "--cap", "+1", "x"]), ("no-command", []),
+        ("cap-neg", ["solve", "--cap", "-1", "x"]), ("pad", ["sieve", " 7 "]),
+        ("arabic", ["sieve", "\u0663"]), ("unknown", ["frobnicate", "x"]),
+        ("sieve-neg", ["sieve", "--", "-5"]), ("underscore", ["sieve", "1_0"]),
+        ("limit-arabic", ["count", "--limit", "\u0662", "x"]))},
+    # int() refuses a string of more than 4300 digits; leading zeros do not
+    # count, and a longer number is one error line and exit 2, not a
+    # traceback and exit 1, which count would read as "no solutions".
+    "count-long-value": (["count", "long-value.txt"], None, 2, b"", _exactly(
+        "error: value of 5001 digits outside [0, 4] (line 3, column 2)")),
+    **{"usage-long-" + argv[0]: (argv, None, 2, b"",
+                                 b"invalid number of 5000 digits")
+       for argv in (["sieve", "1" * 5000],
+                    ["count", "--limit", "1" * 5000, "x"],
+                    ["solve", "--cap", "0" * 9 + "1" * 5000, "x"])},
+    "count-zero-padded": (["count", "--limit", PAD + "9", "padded4.txt"],
+                          None, 0, b"solutions=9+\n", b""),
+    "sieve-zero-padded": (["sieve", PAD + "7"], None, 0, b"2\n3\n5\n7\n", b""),
+}
+
+
+def _judge(row, code, out, err, where):
+    """Assert that one run, in process or as a process, keeps `row`."""
+    _, _, want_code, stdout, stderr = row
+    assert code == want_code, (where, err)
+    if isinstance(stdout, bytes):
+        assert out == stdout, where
+    elif isinstance(stdout, str):
+        assert hashlib.sha256(out).hexdigest() == stdout, where
+    else:
+        assert stdout.match(out), where
+    if isinstance(stderr, bytes):
+        assert stderr in err, where
+    else:
+        assert stderr.match(err), (where, err)
+
+
 def _routes():
     """(command, environment) of each way to start bitsudoku: python -m on
     src, and the console script pip installs, when one is on PATH, with no
@@ -648,42 +538,50 @@ def _routes():
     return routes
 
 
-def test_processes_keep_the_contract(tmp_path):
-    inputs = _process_inputs()
-    for name, text in inputs.items():
-        (tmp_path / name).write_bytes(text.encode())
+def test_processes_keep_the_contract(inputs_dir):
     routes = _routes()
     # sieve 10**8 crosses 1,000 segments, ten times the largest bound the
     # other tests compare in full.  It runs once, by the last route, into a
     # file while the rows run.
     last, last_env = routes[-1]
     with _process(["sh", "-c", '"$@" > primes.txt', "sh", *last, "sieve",
-                   "100000000"], cwd=tmp_path, **last_env) as sieve:
+                   "100000000"], cwd=inputs_dir, **last_env) as sieve:
         for command, env in routes:
-            data = {name: text.encode() for name, text in inputs.items()}
-            for name, (argv, stdin, code, stdout, err_holds) in \
-                    PROCESS_ROWS.items():
-                proc = _process([*command, *argv], cwd=tmp_path, **env)
-                out, err = proc.communicate(data.get(stdin), timeout=60)
+            data = dict(_inputs())
+            for name, row in PROCESS_ROWS.items():
+                proc = _process([*command, *row[0]], cwd=inputs_dir, **env)
+                out, err = proc.communicate(data.get(row[1]), timeout=60)
                 data[name] = out
-                where = (name, command)
-                assert proc.returncode == code, (where, err)
-                if isinstance(stdout, bytes):
-                    assert out == stdout, where
-                elif isinstance(stdout, str):
-                    assert hashlib.sha256(out).hexdigest() == stdout, where
-                else:
-                    assert stdout.match(out), where
-                assert err_holds in err, where
+                _judge(row, proc.returncode, out, err, (name, command))
         _, err = sieve.communicate(timeout=60)
     assert sieve.returncode == 0, err
     digest = hashlib.sha256()
-    with open(tmp_path / "primes.txt", "rb") as primes:
+    with open(inputs_dir / "primes.txt", "rb") as primes:
         for chunk in iter(lambda: primes.read(1 << 20), b""):
             digest.update(chunk)
-    (tmp_path / "primes.txt").unlink()
+    (inputs_dir / "primes.txt").unlink()
     assert digest.hexdigest() == ("fb7e00e2e7eb157e21837f89d0911c01729ebbbd9a1"
                                   "8f8608f6e3936b9f953ee")
+
+
+def _main_run(name, monkeypatch):
+    """In-process main()'s exit code, stdout and stderr on row `name`."""
+    argv, stdin = CLI_ROWS[name][:2]
+    data = (_main_run(stdin, monkeypatch)[1] if stdin in CLI_ROWS
+            else _inputs().get(stdin, b""))
+    return _in_process(argv, data, monkeypatch)
+
+
+# Each row runs twice in one process and must print the same bytes twice.
+@pytest.mark.parametrize("name", CLI_ROWS)
+def test_main_keeps_the_contract(name, inputs_dir, monkeypatch):
+    monkeypatch.chdir(inputs_dir)
+    outs = []
+    for _ in range(2):
+        code, out, err = _main_run(name, monkeypatch)
+        _judge(CLI_ROWS[name], code, out, err, name)
+        outs.append(out)
+    assert outs[0] == outs[1], name
 
 
 def test_main_in_process_does_not_freeze_the_collector(puzzle_file, capsys):

@@ -95,7 +95,9 @@ def test_prime_text_is_the_decimal_of_primes_up_to(n):
 
 # "2\n", then one string per decimal block of 10**4 numbers that holds an
 # odd prime: 10**5 gives eleven, and 10006 ends on a block (10001 to
-# 10006) that holds none and yields nothing.
+# 10006) that holds none and yields nothing.  A block, not a 10**3-number
+# run, is one string because `sieve N` writes each string at once and a
+# write can be a system call: under PYTHONUNBUFFERED=1 every write is one.
 @pytest.mark.parametrize("n, count", [(1, 0), (2, 1), (3, 2), (10**4, 2),
                                       (10006, 2), (10007, 3), (10**5, 11),
                                       (10**6 + 1, 101)])
