@@ -281,8 +281,11 @@ def main(argv: list[str] | None = None) -> int:
         code = run(_parse(sys.argv[1:] if argv is None else argv))
         sys.stdout.flush()
     except OSError as exc:
-        # Keep the flush at interpreter exit from failing a second time.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # Keep the flush at interpreter exit from failing a second time,
+        # and leave no descriptor open behind, as main() may run again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return 141
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
