@@ -9,19 +9,25 @@ Every reader of a Grid's cells (init_state, first_conflict,
 is_sudoku_matrix, render) takes them from cell_bytes: one row-major
 bytearray, which holds each raw cell as one byte and refuses any that is
 not an int in 0..n², and any board whose rows are not n²×n².  unit_scan
-reads the clues at C speed: each unit's word is the sum of one slice of
-the cells' bits, and only a board whose sums lose bits to a carry is
-walked unit by unit to name its first repeat.
+reads the clues at C speed, as SWAR ("SIMD within a register") lane
+sums: one int holds each cell's value bit in a 32-bit lane of its own,
+and a few whole-int shifts and adds sum every row, column and block at
+once, which struct formats then read out lane by lane.  Only a board
+whose sums lose bits to a carry is walked unit by unit to name its first
+repeat.
 
 Text goes in and out through per-order tables.  parse reads a generic
 document row by row: each row's tokens are looked up at once, and only a
 row with a token the table lacks is read again token by token, which
 accepts a zero-padded value and names any other fault.  render writes
-either format by indexing one list of the tokens "0".."n²" with the bytes.
+either format by one itemgetter over all the cell bytes: classic indexes
+the tokens "0".."n²", generic the tokens "v " and "v\n", the latter
+reached by a translate of each row's last byte.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import cache
 from operator import itemgetter
 
@@ -160,14 +166,19 @@ def _outside(v: int, k: int, m: int) -> ValueError:
 
 @cache
 def _text_tables(order: int) -> tuple[dict[int, int], dict[str, int],
-                                      list[str]]:
+                                      list[str], list[str], bytes]:
     """Each cell value 0..n² to itself, so a lookup by any equal value
-    gives the int; each canonical token "0".."n²" to its value; and the
-    list of those tokens, indexed by value.  A list, not a tuple, because
-    its __getitem__ maps faster; no caller writes to it."""
+    gives the int; each canonical token "0".."n²" to its value; the list
+    of those tokens, indexed by value; the list of generic tokens "v "
+    then "v\n", indexed by v and by v + n² + 1; and the translate table
+    that takes a row's last byte v to v + n² + 1.  No caller writes to
+    the lists."""
     m = order * order
-    return ({v: v for v in range(m + 1)}, {str(v): v for v in range(m + 1)},
-            [str(v) for v in range(m + 1)])
+    values = range(m + 1)
+    return ({v: v for v in values}, {str(v): v for v in values},
+            [str(v) for v in values],
+            [f"{v} " for v in values] + [f"{v}\n" for v in values],
+            bytes.maketrans(bytes(values), bytes(range(m + 1, 2 * m + 2))))
 
 
 @cache
@@ -180,18 +191,56 @@ def unit_table(order: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @cache
-def _scan_tables(order: int) -> tuple[tuple, itemgetter, tuple[slice, ...]]:
-    """Each value's bit (0 for a blank); a getter of the flat cells block by
-    block, row-major in each; and each unit's slice, in unit_table's order,
-    of the flat cells followed by that block-major copy."""
+def _scan_tables(order: int) -> tuple[tuple[bytes, ...],
+                                      tuple[struct.Struct, ...],
+                                      itemgetter, tuple[slice, ...]]:
+    """The lane sums' tables and the fallback's.
+
+    Byte plane p of a 32-bit lane: a translate table from each value v in
+    8p+1..8p+8 to byte p of its bit 1 << (v-1), and from 0 (a blank) and
+    every other value to 0; one plane per 8 values.
+    The readers of the row, column and block sums: little-endian 32-bit
+    lanes at r·m, at 0..m-1, and at K·n·m + L·n, with pad bytes between,
+    so they hold on any host.  Then, for the walk unit by unit, a getter
+    of the flat cells block by block, row-major in each; and each unit's
+    slice, in unit_table's order, of the flat cells followed by that
+    block-major copy."""
     m = order * order
     mm = m * m
+    planes = tuple((bytes(8 * p + 1) + bytes(1 << b for b in range(8)))
+                   .ljust(256, b"\0") for p in range(-(-m // 8)))
+
+    def lanes(ks) -> struct.Struct:
+        fmt, at = "<", 0
+        for k in ks:
+            fmt += f"{4 * (k - at)}xI"
+            at = k + 1
+        return struct.Struct(fmt)
+
+    readers = (lanes(range(0, mm, m)), lanes(range(m)),
+               lanes(K * order * m + L * order
+                     for K in range(order) for L in range(order)))
     table = unit_table(order)
     block_major = itemgetter(*sorted(range(mm), key=lambda k: table[k][2]))
     units = ([slice(i, i + m) for i in range(0, mm, m)]
              + [slice(j, mm, m) for j in range(m)]
              + [slice(i, i + m) for i in range(mm, 2 * mm, m)])
-    return (0, *(1 << v for v in range(m))), block_major, tuple(units)
+    return planes, readers, block_major, tuple(units)
+
+
+def _window(x: int, step: int, width: int) -> int:
+    """The sum of x >> step·t for t < width, by doubling: each lane of the
+    result adds up width lanes of x, step bits apart."""
+    total = at = 0
+    while True:
+        if width & 1:
+            total += x >> at
+            at += step
+        width >>= 1
+        if not width:
+            return total
+        x += x >> step
+        step *= 2
 
 
 def is_sudoku_matrix(g: Grid) -> bool:
@@ -214,21 +263,38 @@ def unit_scan(order: int, cells: bytearray | list[int]
     value d at bit d-1, and None; or, if a unit repeats a value, None and
     the first (unit kind, unit index, duplicated value): units rank rows,
     then columns, then blocks, and each is read in reading order.  Each
-    cell must be an int in 0..n², as cell_bytes gives them.
+    cell must be an int in 0..n², as cell_bytes gives them, in a bytearray,
+    bytes or list.
 
     A word is the sum of its cells' bits, and c single bits sum to c bits
     set, their OR, exactly when no two are equal.  Every clue lies in three
-    units, so no unit repeats a value iff the words hold 3 bits per clue."""
-    bit, block_major, units = _scan_tables(order)
-    bits = [bit[v] for v in cells]
-    bits += block_major(bits)
-    words = list(map(sum, map(bits.__getitem__, units)))
+    units, so no unit repeats a value iff the words hold 3 bits per clue.
+    The sums are taken in 32-bit lanes of one int x, lane k holding cell
+    k's bit.  With R = _window(x, 32, n), each lane the sum of n cells
+    along a row, rows are _window(R, 32n, n) at lanes r·m, blocks
+    _window(R, 32m, n) at lanes K·n·m + L·n, and columns _window(x, 32m, m)
+    at lanes 0..m-1.  A lane sums at most m bits below 2^m, less than
+    m·2^(m-1) < 2^32 for m <= 25, so no lane carries into the next."""
+    planes, (rows, columns, blocks), block_major, units = _scan_tables(order)
+    cells = bytes(cells)
+    lanes = bytearray(4 * len(cells))
+    for p, plane in enumerate(planes):
+        lanes[p::4] = cells.translate(plane)
+    x = int.from_bytes(lanes, "little")
+    m = order * order
+    r = _window(x, 32, order)
+    size = len(lanes)
+    words = [*rows.unpack_from(_window(r, 32 * order, order)
+                               .to_bytes(size, "little")),
+             *columns.unpack_from(_window(x, 32 * m, m)
+                                  .to_bytes(size, "little")),
+             *blocks.unpack_from(_window(r, 32 * m, order)
+                                 .to_bytes(size, "little"))]
     clues = len(cells) - cells.count(0)
     if sum(map(int.bit_count, words)) == 3 * clues:
         return words, None
     # A repeat lost bits: name the first.
     values = [*cells, *block_major(cells)]
-    m = order * order
     for u, unit in enumerate(units):
         seen = set()
         for v in filter(None, values[unit]):
@@ -279,7 +345,7 @@ def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
         raise PuzzleFormatError(f"expected {m} rows, found {len(body)}",
                                 (body[m:] or significant[-1:])[0][0])
 
-    token_value = _text_tables(order)[1].__getitem__
+    token_value = _text_tables(order)[1]
     cells = []
     for lineno, line in body:
         tokens = line.split()
@@ -287,7 +353,8 @@ def _parse_generic(significant: list[tuple[int, str]]) -> Grid:
             raise PuzzleFormatError(
                 f"expected {m} values per row, found {len(tokens)}", lineno)
         try:
-            cells.append(list(map(token_value, tokens)))
+            # m >= 4 tokens, so the getter gives a tuple of all of them.
+            cells.append(list(itemgetter(*tokens)(token_value)))
         except KeyError:    # a token other than "0".."m": judge each one
             cells.append([_value(token, m, lineno, col)
                           for col, token in enumerate(tokens, start=1)])
@@ -348,16 +415,19 @@ def render(board: Grid, fmt: str = "generic") -> str:
 
     "generic" works for any order; "classic" is the 81-character single
     line and is only defined for order 3.  Both read the cells through
-    cell_bytes and index the list of tokens "0".."n²" with them.
+    cell_bytes and join what one itemgetter of all the bytes picks from a
+    list of tokens: classic from "0".."n²", generic from "v " and "v\n",
+    after each row's last byte v is translated to v + n² + 1 in
+    cell_bytes' fresh copy, so the Grid is never written.
     """
-    token = _text_tables(board.order)[2].__getitem__
+    _, _, plain, spaced, row_end = _text_tables(board.order)
     if fmt == "generic":
         m = board.side
-        text = list(map(token, cell_bytes(board)))
-        rows = [" ".join(text[k:k + m]) for k in range(0, m * m, m)]
-        return f"{board.order}\n" + "\n".join(rows) + "\n"
+        cells = cell_bytes(board)
+        cells[m - 1::m] = cells[m - 1::m].translate(row_end)
+        return f"{board.order}\n" + "".join(itemgetter(*cells)(spaced))
     if fmt == "classic":
         if board.order != 3:
             raise ValueError("classic format requires an order-3 board")
-        return "".join(map(token, cell_bytes(board))) + "\n"
+        return "".join(itemgetter(*cell_bytes(board))(plain)) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -659,11 +659,20 @@ def test_processes_keep_the_contract(inputs_dir):
                                   "8f8608f6e3936b9f953ee")
 
 
+# The stdout of each row another row reads as its stdin, run once.
+_SOURCE_STDOUT = {}
+
+
 def _main_run(name, monkeypatch):
     """In-process main()'s exit code, stdout and stderr on row `name`."""
     argv, stdin = CLI_ROWS[name][:2]
-    data = (_main_run(stdin, monkeypatch)[1] if stdin in CLI_ROWS
-            else _inputs().get(stdin, b""))
+    if stdin in CLI_ROWS:
+        if stdin not in _SOURCE_STDOUT:
+            with pytest.MonkeyPatch.context() as source_patch:
+                _SOURCE_STDOUT[stdin] = _main_run(stdin, source_patch)[1]
+        data = _SOURCE_STDOUT[stdin]
+    else:
+        data = _inputs().get(stdin, b"")
     return _in_process(argv, data, monkeypatch)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bitsudoku.grid import (
+    MAX_ORDER,
     Grid,
     IncompleteGridError,
     PuzzleFormatError,
@@ -295,6 +296,42 @@ def test_unit_scan_names_the_first_repeat(n, clues, want):
     assert first_conflict(Grid(n, cells)) == want
 
 
+# unit_scan sums each unit's bits in a 32-bit lane; a lane sums at most m
+# bits below 2^m, so at the largest order no lane can carry.
+def test_lane_sums_cannot_carry():
+    assert MAX_ORDER ** 2 * 2 ** (MAX_ORDER ** 2 - 1) < 2 ** 32
+
+
+# 25 in every cell of the first row, the first column and the centre
+# block: those lanes sum 25 copies of the top bit, the largest sums there
+# are.  With the first column alone, no row repeats a value.
+@pytest.mark.parametrize("full_row_and_block, want", [
+    (True, ("row", 1, 25)), (False, ("column", 1, 25))])
+def test_unit_scan_names_the_first_repeat_at_the_largest_sums(
+        full_row_and_block, want):
+    cells = [[25 if c == 0 or full_row_and_block and (
+                 r == 0 or 10 <= r < 15 and 10 <= c < 15) else 0
+              for c in range(25)] for r in range(25)]
+    assert ref_first_conflict(5, cells) == want
+    flat = list(chain.from_iterable(cells))
+    for given_cells in (flat, bytes(flat), bytearray(flat)):
+        assert unit_scan(5, given_cells) == (None, want)
+
+
+# On a full valid board every word is the full set, the top lanes (the
+# last row, column and block) too, whatever type holds the cells.
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_unit_scan_on_full_boards_gives_every_word(n):
+    m = n * n
+    cells = shuffled_valid_grid(n, random.Random(n))
+    want = [reduce(or_, (1 << (v - 1) for v in values))
+            for _, _, values in ref_units(n, cells)]
+    assert want == [(1 << m) - 1] * (3 * m)
+    flat = list(chain.from_iterable(cells))
+    for given_cells in (flat, bytes(flat), bytearray(flat)):
+        assert unit_scan(n, given_cells) == (want, None)
+
+
 # -- parsing -----------------------------------------------------------------
 
 def test_parse_classic_single_line():
@@ -464,6 +501,21 @@ def test_render_matches_reference_on_seeded_boards():
                 flat = "".join(str(v) for row in cells for v in row)
                 assert render(g, "classic") == flat + "\n"
                 assert parse(render(g, "classic")) == g
+
+
+# render marks each row's last value in a copy of the cells, never in the
+# Grid itself.
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_render_matches_reference_on_blank_and_full_boards(order):
+    m = order * order
+    for cells in ([[0] * m for _ in range(m)],
+                  shuffled_valid_grid(order, random.Random(order))):
+        g = Grid(order, cells)
+        assert render(g) == ref_render(order, cells)
+        if order == 3:
+            flat = "".join(str(v) for row in cells for v in row)
+            assert render(g, "classic") == flat + "\n"
+        assert g.cells == cells
 
 
 # Tokens that are not the canonical "0".."m": some the format accepts, some
