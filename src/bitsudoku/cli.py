@@ -26,6 +26,13 @@ fails once the line is read.  A usage error writes the usage line and
 rewrapped to the terminal, and raises SystemExit(0); -h takes nothing
 after it in the same token, so -hh is an error.
 
+`count` with neither --stats nor --limit prints only `solutions=N`, and
+solver.count_solutions answers it; every other solve and count runs
+solver.solve, whose trials, passes and first solution are what the output
+shows.  Both are exact, so a bare count prints the same N either way, but
+count_solutions ends on boards where solve's search has no practical
+end, such as Norvig's "impossible" puzzle.
+
 `sieve N` writes the decimal text that `sieve.prime_text` makes, one
 decimal block of 10**4 numbers per write, so neither a list of the primes
 nor an int per number is made.
@@ -49,7 +56,8 @@ import sys
 from .grid import (IncompleteGridError, PuzzleFormatError, ascii_int,
                    is_sudoku_matrix, parse, render)
 from .sieve import prime_text
-from .solver import ConflictError, Event, SolveReport, solve
+from .solver import (ConflictError, Event, SolveReport, count_solutions,
+                     solve)
 
 _OPTIONS = ("--help", "--format", "--stats", "--cap")
 _PAD = "\n" + " " * 23
@@ -254,15 +262,25 @@ def run(args: _Args) -> int:
         print("error: classic format requires an order-3 board",
               file=sys.stderr)
         return 2
+    # A bare count prints the count alone, which any exact search gives;
+    # a board, a stats line or a limit's + show solve's own search.
+    bare = not (solving or args.stats) and args.limit is None
     try:
-        report = solve(g, cap=1 if solving else 0,
-                       limit=1 if solving else args.limit)
+        if bare:
+            count = count_solutions(g)
+        else:
+            report = solve(g, cap=1 if solving else 0,
+                           limit=1 if solving else args.limit)
+            count = report.solution_count
     except ConflictError as exc:
         print(f"conflicting clues: {exc}", file=sys.stderr)
+        count = 0
         report = SolveReport(solution_count=0, solutions=[], trials=0,
                              propagation_passes=0,
                              terminal_event=Event.E1_CONTRADICTION)
-    if solving and report.solution_count == 0:
+    if bare:
+        print(f"solutions={count}")
+    elif solving and count == 0:
         print("UNSOLVABLE")
     elif solving:
         sys.stdout.write(render(report.solutions[0], args.format))
@@ -270,7 +288,7 @@ def run(args: _Args) -> int:
         print(f"solutions={_count_field(report)}")
     if args.stats:
         print(_stats_line(report))
-    return 0 if report.solution_count > 0 else 1
+    return 0 if count > 0 else 1
 
 
 def main(argv: list[str] | None = None) -> int:

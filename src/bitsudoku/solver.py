@@ -23,13 +23,25 @@ calls it on its own locals and branches on the cell it names, and
 propagate wraps it for a SolverState and drops that cell.
 A placement clears its value's bit by XOR, which is exact only because
 the bit is known to be in all three words.
+
+count_solutions is a second search, for the number of solutions alone.
+solve's trials, passes and order of solutions are part of the output
+(`solve`, `count --stats`, and `count --limit`, whose + depends on the
+search tree), so its search stays as above.  A bare `count` prints only
+the number, which any exact search gives, so the command line answers it
+with count_solutions.  That search adds the exact-cover column rule
+(Knuth, "Dancing Links"), read off the same words: a value with one place
+in a unit is placed, and a value with two places is a way to branch.  It
+settles boards whose naked-singles search has no practical end: Norvig's
+"impossible" puzzle in 10 trials, where solve ran for over 15 minutes.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
+from functools import cache, reduce
 from itertools import compress
+from operator import or_
 
 from .grid import Grid, cell_bytes, cell_index, unit_scan, unit_table
 from .smallset import SmallSet, _Record
@@ -343,3 +355,131 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
     return SolveReport(solution_count=count, solutions=solutions,
                        trials=trials, propagation_passes=passes_total,
                        terminal_event=root_event, truncated=bool(stack))
+
+
+def _places(words: list[int], units: tuple[tuple[int, int, int], ...],
+            open_: list[int], thrice: list[int] | None = None
+            ) -> tuple[list[int], list[int]]:
+    """Per unit word, the values with at least one and at least two places
+    among the open cells, and, into `thrice` when given, three."""
+    once = [0] * len(words)
+    twice = once[:]
+    if thrice is None:
+        for k in open_:
+            a, b, c = units[k]
+            p = words[a] & words[b] & words[c]
+            twice[a] |= once[a] & p
+            once[a] |= p
+            twice[b] |= once[b] & p
+            once[b] |= p
+            twice[c] |= once[c] & p
+            once[c] |= p
+    else:
+        for k in open_:
+            a, b, c = units[k]
+            p = words[a] & words[b] & words[c]
+            thrice[a] |= twice[a] & p
+            twice[a] |= once[a] & p
+            once[a] |= p
+            thrice[b] |= twice[b] & p
+            twice[b] |= once[b] & p
+            once[b] |= p
+            thrice[c] |= twice[c] & p
+            twice[c] |= once[c] & p
+            once[c] |= p
+    return once, twice
+
+
+def count_solutions(g: Grid) -> int:
+    """The exact number of completions of the puzzle, as an int.
+
+    It equals solve(g, cap=0).solution_count, by another search, which
+    keeps no trials, passes or boards.  Each stall of the sweep is followed
+    by one scan of the open cells that marks, per unit, the values with at
+    least one and at least two places.  A missing value with no place is
+    a dead end; one with a single place is placed there (a hidden single),
+    unless that forces a cell to two values, a dead end too, and the sweep
+    runs again.  With nothing forced, it branches on a two-candidate cell,
+    else on the lowest value with exactly two places in some unit (the
+    first such unit; a second scan counts three places), else on the cell
+    the sweep noted.  Each choice splits the completions exactly.  Raises
+    ConflictError as solve does, and never writes to g.
+    """
+    state = init_state(g)
+    cells, words = state.cells, state.words
+    units = unit_table(state.order)
+    count = 0
+    # Each frame is (untried, k, saved words, open list less k), as in solve.
+    stack: list[tuple[int, int, list[int], list[int]]] = []
+    open_, event, _, noted = _sweep(cells, words, units, state.open)
+    while True:
+        if event is _E3:
+            once, twice = _places(words, units, open_)
+            # A unit's places cover at most its missing values, so once and
+            # twice fall short of words exactly where a value has fewer
+            # than one or two places.
+            if once != words:
+                event = _E1
+            elif twice != words:
+                single = [w & ~t for w, t in zip(words, twice)]
+                survivors = []
+                for k in open_:
+                    a, b, c = units[k]
+                    # A value placed by an earlier cell of this scan is
+                    # gone from the words; the next scan finds its unit
+                    # short of a place.
+                    f = ((single[a] | single[b] | single[c])
+                         & words[a] & words[b] & words[c])
+                    if not f:
+                        survivors.append(k)
+                    elif f & (f - 1):
+                        event = _E1
+                        break
+                    else:
+                        cells[k] = f.bit_length()
+                        words[a] ^= f
+                        words[b] ^= f
+                        words[c] ^= f
+                else:
+                    open_, event, _, noted = _sweep(cells, words, units,
+                                                    survivors)
+                continue
+        if event is _E3:
+            saved_words = words[:]
+            k = noted
+            a, b, c = units[k]
+            untried = words[a] & words[b] & words[c]
+            if untried.bit_count() > 2:
+                thrice = [0] * len(words)
+                _, twice = _places(words, units, open_, thrice)
+                pairs = [t & ~h for t, h in zip(twice, thrice)]
+                values = reduce(or_, pairs)
+                if values:
+                    untried = values & -values
+                    u = next(u for u, pair in enumerate(pairs)
+                             if pair & untried)
+                    k, other = [j for j in open_ if u in units[j]
+                                and untried & words[units[j][0]]
+                                & words[units[j][1]] & words[units[j][2]]]
+                    a, b, c = units[k]
+                    rest = open_[:]
+                    rest.remove(other)
+                    stack.append((untried, other, saved_words, rest))
+            open_.remove(k)
+        else:
+            if event is _E2:
+                count += 1
+            if not stack:
+                return count
+            untried, k, saved_words, open_ = stack.pop()
+            words[:] = saved_words
+            a, b, c = units[k]
+        bit = untried & -untried
+        untried ^= bit
+        if untried:
+            stack.append((untried, k, saved_words, open_))
+        cells[k] = bit.bit_length()
+        words[a] ^= bit
+        words[b] ^= bit
+        words[c] ^= bit
+        open_, event, _, noted = _sweep(cells, words, units, open_)

@@ -16,6 +16,10 @@ from math import isqrt
 # Widely published order-3 puzzle of ordinary difficulty, in classic form.
 CLASSIC_81 = ("530070000600195000098000060800060003400803001"
               "700020006060000280000419005000080079")
+# Norvig's "impossible" puzzle ("Solving Every Sudoku Puzzle"): consistent
+# clues, no completion.
+IMPOSSIBLE_81 = (".....5.8....6.1.43..........1.5........1.6...3..."
+                 "....553.....61........4.........")
 # A complete 4x4 board whose rows and columns are permutations but whose
 # blocks repeat values.
 INVALID_4 = "2\n1 2 3 4\n2 1 4 3\n3 4 1 2\n4 3 2 1\n"

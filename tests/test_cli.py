@@ -19,9 +19,9 @@ from bitsudoku import cli
 from bitsudoku.cli import main
 from bitsudoku.grid import is_sudoku_matrix, parse
 
-from oracles import (CLASSIC_81, INVALID_4, clues, delete_cells,
-                     pattern_grid, primes_by_trial_division, ref_render,
-                     shuffled_valid_grid)
+from oracles import (CLASSIC_81, IMPOSSIBLE_81, INVALID_4, clues,
+                     delete_cells, pattern_grid, primes_by_trial_division,
+                     ref_render, shuffled_valid_grid)
 from test_golden import seeded_board
 
 EMPTY_4 = "2\n" + "0 0 0 0\n" * 4
@@ -245,20 +245,32 @@ def test_sieve_memory_does_not_grow_with_the_bound(monkeypatch):
     assert peak < 1.5e6, peak
 
 
+# A count with --stats runs solve, which then keeps no board; a bare count
+# runs count_solutions, which keeps none at all.
 def test_count_retains_no_boards_whatever_the_cap(puzzle_file, monkeypatch,
                                                   capsys):
-    caps = []
-    real_solve = cli.solve
+    calls = []
+    real_solve, real_count = cli.solve, cli.count_solutions
 
     def spy(g, cap, limit):
-        caps.append(cap)
+        calls.append(("solve", cap))
         return real_solve(g, cap=cap, limit=limit)
 
+    def count_spy(g):
+        calls.append(("count_solutions",))
+        return real_count(g)
+
     monkeypatch.setattr(cli, "solve", spy)
-    code = main(["count", "--cap", "100000", puzzle_file(EMPTY_4)])
+    monkeypatch.setattr(cli, "count_solutions", count_spy)
+    path = puzzle_file(EMPTY_4)
+    code = main(["count", "--stats", "--cap", "100000", path])
+    assert code == 0
+    assert capsys.readouterr().out == "solutions=288 trials=568 passes=929\n"
+    assert calls == [("solve", 0)]
+    code = main(["count", "--cap", "100000", path])
     assert code == 0
     assert capsys.readouterr().out == "solutions=288\n"
-    assert caps == [0]
+    assert calls == [("solve", 0), ("count_solutions",)]
 
 
 # Modules whose import cost a bare interpreter start should not pay: the
@@ -351,9 +363,10 @@ PAD = "0" * 5000
 # `block_of` and `is_consistent_partial` left the package, so a refactor
 # must reproduce them byte for byte; any drift is a behaviour change.  The
 # third is the first without its stats line.  Two inputs that run unbounded
-# today, Norvig's "impossible" count and the first solution of a blank
-# 25x25 board, are left out: neither ends in bounded time until solve takes
-# a budget (ROADMAP item 3).
+# today, `count --stats` of Norvig's "impossible" puzzle and the first
+# solution of a blank 25x25 board, are left out: neither ends in bounded
+# time until solve takes a budget (ROADMAP item 3).  A bare `count` of that
+# puzzle does end, by count_solutions (the count-impossible row).
 GOLDEN_STDOUT = {
     (2, 2, 12): ("0118adc00ca058f5", "ae8ba10bd5e9669e", "3acd4fdf6c208f1d"),
     (2, 3, 13): ("9d99d75c444f4d6b", "121ecd888cd9a8df", "24e9d7841c52ee3d"),
@@ -400,6 +413,7 @@ def _inputs():
         "padded25.txt": "".join(line + "\n" for line in padded25),
         "crlf4.txt": "2\r\n1 0 0 0\r\n0 0 0 0\r\n0 0 0 0\r\n0 0 0 0\r\n",
         "classic.txt": CLASSIC_81 + "\n",
+        "impossible.txt": IMPOSSIBLE_81 + "\n",
         "empty4.txt": EMPTY_4,
         "complete4.txt": COMPLETE_4,
         "witness4.txt": "2\n0 2 3 4\n1 0 0 0\n0 0 0 0\n0 0 0 0\n",
@@ -481,6 +495,12 @@ PROCESS_ROWS = {
     "classic": (["solve", "--format", "classic", "-"], "classic.txt", 0,
                 re.compile(rb"[1-9]{81}\n\Z"), _SILENT),
     "check-classic": (["check", "-"], "classic", 0, b"VALID\n", _SILENT),
+    # A bare count runs count_solutions, which settles this in milliseconds;
+    # solve's search did not end in 15 minutes.  Run as a process, a bare
+    # count that went back to solve fails the row at the 60 s timeout
+    # instead of hanging the suite.
+    "count-impossible": (["count", "impossible.txt"], None, 1,
+                         b"solutions=0\n", _SILENT),
 }
 
 
