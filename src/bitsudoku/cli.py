@@ -28,10 +28,13 @@ after it in the same token, so -hh is an error.
 
 `count` with neither --stats nor --limit prints only `solutions=N`, and
 solver.count_solutions answers it; every other solve and count runs
-solver.solve, whose trials, passes and first solution are what the output
-shows.  Both are exact, so a bare count prints the same N either way, but
-count_solutions ends on boards where solve's search has no practical
-end, such as Norvig's "impossible" puzzle.
+solver.solve, whose first solution and limited count are what the output
+shows.  With --stats, whose line shows solve's trials and passes, solve
+runs its default search; without, it runs pruned by the cover rule
+(prune=True), which prints the same board and count.  All are exact, but
+each of the other two ends on a board where the default search has no
+practical end: the pruned search on the blank 25x25 board, and
+count_solutions on Norvig's "impossible" puzzle.
 
 `sieve N` writes the decimal text that `sieve.prime_text` makes, one
 decimal block of 10**4 numbers per write, so neither a list of the primes
@@ -263,14 +266,16 @@ def run(args: _Args) -> int:
               file=sys.stderr)
         return 2
     # A bare count prints the count alone, which any exact search gives;
-    # a board, a stats line or a limit's + show solve's own search.
+    # a board or a limit's + show solve's own search, and only a stats
+    # line shows its counters, which pruning changes.
     bare = not (solving or args.stats) and args.limit is None
     try:
         if bare:
             count = count_solutions(g)
         else:
             report = solve(g, cap=1 if solving else 0,
-                           limit=1 if solving else args.limit)
+                           limit=1 if solving else args.limit,
+                           prune=not args.stats)
             count = report.solution_count
     except ConflictError as exc:
         print(f"conflicting clues: {exc}", file=sys.stderr)

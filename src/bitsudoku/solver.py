@@ -25,15 +25,21 @@ A placement clears its value's bit by XOR, which is exact only because
 the bit is known to be in all three words.
 
 count_solutions is a second search, for the number of solutions alone.
-solve's trials, passes and order of solutions are part of the output
-(`solve`, `count --stats`, and `count --limit`, whose + depends on the
-search tree), so its search stays as above.  A bare `count` prints only
-the number, which any exact search gives, so the command line answers it
-with count_solutions.  That search adds the exact-cover column rule
-(Knuth, "Dancing Links"), read off the same words: a value with one place
-in a unit is placed, and a value with two places is a way to branch.  It
-settles boards whose naked-singles search has no practical end: Norvig's
-"impossible" puzzle in 10 trials, where solve ran for over 15 minutes.
+It adds the exact-cover column rule (Knuth, "Dancing Links"), read off
+the same words by _cover: a value with no place in a unit is a dead end,
+one with a single place is placed there, and one with two places is a way
+to branch.  It settles boards whose naked-singles search has no practical
+end: Norvig's "impossible" puzzle in 10 trials, where solve ran for over
+15 minutes.  solve(..., prune=True) runs the rule as a test alone: at
+each stall, on a copy of the words, a stall the rule proves dead is a
+dead end.  Its branch cells, values and order of solutions stay solve's
+own, and only its trials and passes fall: the blank 25×25 board's first
+solution takes 485 trials, where the default search did not end in 25
+minutes.  So the command line runs, per command, the search whose output
+it prints: solve's default search for `solve --stats` and `count
+--stats`, which show the counters; the pruned one for a plain `solve`
+and `count --limit`, whose board and + depend on the search tree alone;
+count_solutions for a bare `count`, which prints only the number.
 """
 
 from __future__ import annotations
@@ -283,7 +289,8 @@ def _sweep(cells: list[int], words: list[int],
 
 
 def solve(g: Grid, cap: int = 1, limit: int | None = None,
-          branch: str = FEWEST_CANDIDATES) -> SolveReport:
+          branch: str = FEWEST_CANDIDATES, prune: bool = False
+          ) -> SolveReport:
     """Count (and retain up to `cap`) every completion of the puzzle.
 
     Propagation runs first; when it stalls, one blank cell is chosen by the
@@ -295,6 +302,15 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
     fewest candidates (ties row-major), the one the stalled sweep names;
     FIRST_BLANK always takes the first blank, which changes the trial count
     but never the solution count.
+
+    With `prune`, each stall of the sweep is also tested by the exact-cover
+    column rule (hidden singles to a fixpoint, on a copy of the words), and
+    a stall it proves to have no completion is a dead end, as E1 is.  The
+    state the search branches from is never changed, and only subtrees
+    with no completion are cut, so solution_count, the retained solutions
+    and their order, truncated and terminal_event equal those of
+    prune=False.  trials and propagation_passes then count the pruned
+    search (the rule's own sweeps are not passes), and are never higher.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -320,6 +336,10 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
                                                     state.open)
     event = root_event
     while True:
+        # The rule writes only open cells, which a failed trial may write.
+        if (prune and event is _E3 and _cover(cells, words[:], units, open_,
+                                              noted)[1] is _E1):
+            event = _E1
         if event is _E3:
             k = open_[0] if first_blank else noted
             a, b, c = units[k]
@@ -390,6 +410,47 @@ def _places(words: list[int], units: tuple[tuple[int, int, int], ...],
     return once, twice
 
 
+def _cover(cells: list[int], words: list[int],
+           units: tuple[tuple[int, int, int], ...], open_: list[int],
+           noted: int) -> tuple[list[int], Event, int]:
+    """The exact-cover column rule after a sweep stalled (E3) with `noted`,
+    to a fixpoint: the open list, event and noted cell _sweep would give
+    had it placed hidden singles too.  Each round scans the open cells
+    once with _places.  A missing value with no place is E1; values with
+    one place are placed there (E1 if that forces one cell to two values),
+    and the sweep runs again; with neither, E3 stands.  Only open cells
+    and words are written, and open_ is never mutated."""
+    while True:
+        once, twice = _places(words, units, open_)
+        # A unit's places cover at most its missing values, so once and
+        # twice fall short of words exactly where a value has fewer than
+        # one or two places.
+        if once != words:
+            return open_, _E1, -1
+        if twice == words:
+            return open_, _E3, noted
+        single = [w & ~t for w, t in zip(words, twice)]
+        survivors = []
+        for k in open_:
+            a, b, c = units[k]
+            # A value placed by an earlier cell of this scan is gone from
+            # the words; the next scan finds its unit short of a place.
+            f = ((single[a] | single[b] | single[c])
+                 & words[a] & words[b] & words[c])
+            if not f:
+                survivors.append(k)
+            elif f & (f - 1):
+                return open_, _E1, -1
+            else:
+                cells[k] = f.bit_length()
+                words[a] ^= f
+                words[b] ^= f
+                words[c] ^= f
+        open_, event, _, noted = _sweep(cells, words, units, survivors)
+        if event is not _E3:
+            return open_, event, noted
+
+
 def count_solutions(g: Grid) -> int:
     """The exact number of completions of the puzzle, as an int.
 
@@ -414,36 +475,7 @@ def count_solutions(g: Grid) -> int:
     open_, event, _, noted = _sweep(cells, words, units, state.open)
     while True:
         if event is _E3:
-            once, twice = _places(words, units, open_)
-            # A unit's places cover at most its missing values, so once and
-            # twice fall short of words exactly where a value has fewer
-            # than one or two places.
-            if once != words:
-                event = _E1
-            elif twice != words:
-                single = [w & ~t for w, t in zip(words, twice)]
-                survivors = []
-                for k in open_:
-                    a, b, c = units[k]
-                    # A value placed by an earlier cell of this scan is
-                    # gone from the words; the next scan finds its unit
-                    # short of a place.
-                    f = ((single[a] | single[b] | single[c])
-                         & words[a] & words[b] & words[c])
-                    if not f:
-                        survivors.append(k)
-                    elif f & (f - 1):
-                        event = _E1
-                        break
-                    else:
-                        cells[k] = f.bit_length()
-                        words[a] ^= f
-                        words[b] ^= f
-                        words[c] ^= f
-                else:
-                    open_, event, _, noted = _sweep(cells, words, units,
-                                                    survivors)
-                continue
+            open_, event, noted = _cover(cells, words, units, open_, noted)
         if event is _E3:
             saved_words = words[:]
             k = noted

@@ -245,16 +245,17 @@ def test_sieve_memory_does_not_grow_with_the_bound(monkeypatch):
     assert peak < 1.5e6, peak
 
 
-# A count with --stats runs solve, which then keeps no board; a bare count
-# runs count_solutions, which keeps none at all.
+# A count with --stats or --limit runs solve, which then keeps no board,
+# pruned only when no stats line shows its counters; a bare count runs
+# count_solutions, which keeps none at all.
 def test_count_retains_no_boards_whatever_the_cap(puzzle_file, monkeypatch,
                                                   capsys):
     calls = []
     real_solve, real_count = cli.solve, cli.count_solutions
 
-    def spy(g, cap, limit):
-        calls.append(("solve", cap))
-        return real_solve(g, cap=cap, limit=limit)
+    def spy(g, cap, limit, prune):
+        calls.append(("solve", cap, prune))
+        return real_solve(g, cap=cap, limit=limit, prune=prune)
 
     def count_spy(g):
         calls.append(("count_solutions",))
@@ -266,11 +267,15 @@ def test_count_retains_no_boards_whatever_the_cap(puzzle_file, monkeypatch,
     code = main(["count", "--stats", "--cap", "100000", path])
     assert code == 0
     assert capsys.readouterr().out == "solutions=288 trials=568 passes=929\n"
-    assert calls == [("solve", 0)]
+    assert calls == [("solve", 0, False)]
     code = main(["count", "--cap", "100000", path])
     assert code == 0
     assert capsys.readouterr().out == "solutions=288\n"
-    assert calls == [("solve", 0), ("count_solutions",)]
+    assert calls[1:] == [("count_solutions",)]
+    code = main(["count", "--limit", "300", "--cap", "100000", path])
+    assert code == 0
+    assert capsys.readouterr().out == "solutions=288\n"
+    assert calls[2:] == [("solve", 0, True)]
 
 
 # Modules whose import cost a bare interpreter start should not pay: the
@@ -362,11 +367,14 @@ PAD = "0" * 5000
 # The first two were recorded from the engine as it stood before
 # `block_of` and `is_consistent_partial` left the package, so a refactor
 # must reproduce them byte for byte; any drift is a behaviour change.  The
-# third is the first without its stats line.  Two inputs that run unbounded
-# today, `count --stats` of Norvig's "impossible" puzzle and the first
-# solution of a blank 25x25 board, are left out: neither ends in bounded
-# time until solve takes a budget (ROADMAP item 3).  A bare `count` of that
-# puzzle does end, by count_solutions (the count-impossible row).
+# third is the first without its stats line, though a plain solve runs the
+# pruned search: it must print the same board.
+# Two inputs that run unbounded today, `count --stats` of Norvig's
+# "impossible" puzzle and `solve --stats` of a blank 25x25 board, are left
+# out: neither ends in bounded time until solve takes a budget (ROADMAP
+# item 3).  A bare `count` of that puzzle and a plain `solve` of that board
+# do end, by count_solutions and by the pruned search (the count-impossible
+# and solve-blank25 rows).
 GOLDEN_STDOUT = {
     (2, 2, 12): ("0118adc00ca058f5", "ae8ba10bd5e9669e", "3acd4fdf6c208f1d"),
     (2, 3, 13): ("9d99d75c444f4d6b", "121ecd888cd9a8df", "24e9d7841c52ee3d"),
@@ -407,6 +415,7 @@ def _inputs():
         padded25 += ["", "# a row", " ".join("%03d" % v for v in row)]
     texts = {
         "blank16.txt": ref_render(4, [[0] * 16] * 16),
+        "blank25.txt": ref_render(5, [[0] * 25] * 25),
         "repeat25.txt": ref_render(5, repeat25),
         "swapped25.txt": ref_render(5, swapped25),
         "plain25.txt": ref_render(5, plain25),
@@ -501,6 +510,14 @@ PROCESS_ROWS = {
     # instead of hanging the suite.
     "count-impossible": (["count", "impossible.txt"], None, 1,
                          b"solutions=0\n", _SILENT),
+    # A plain solve runs solve's search pruned by the cover rule, which
+    # prints this board after 485 trials; unpruned, the search did not end
+    # in 25 minutes, and this row would fail at the 60 s timeout.
+    "solve-blank25": (["solve", "blank25.txt"], None, 0, "556c1a12e0729931"
+                      "5545713ea7175f2e82f21cb8c4460761674539373834d462",
+                      _SILENT),
+    "check-blank25": (["check", "-"], "solve-blank25", 0, b"VALID\n",
+                      _SILENT),
 }
 
 
@@ -538,6 +555,9 @@ CLI_ROWS = {
     "count-limit-50": (["count", "--stats", "--limit", "50", "empty4.txt"],
                        None, 0, b"solutions=50+ trials=102 passes=167\n",
                        _SILENT),
+    # --limit without --stats runs the pruned search, which ends here.
+    "count-limit-blank25": (["count", "--limit", "2", "blank25.txt"], None,
+                            0, b"solutions=2+\n", _SILENT),
     **{command + "-stats": ([command, "--stats", "complete4.txt"], None, 0,
                             board + b"solutions=1 trials=0 passes=0\n",
                             _SILENT)

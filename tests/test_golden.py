@@ -6,6 +6,8 @@ one branch policy.  Orders 2-3 are counted exhaustively; orders 4-5 stop
 at the first solution.  The values were recorded from the SmallSet-based
 engine that preceded the int-word solver state, so a refactor of the
 search must reproduce them exactly; any drift is a behaviour change.
+solve(..., prune=True) must give each row's count, truncation, root event
+and solutions, with no more trials or passes.
 """
 
 import hashlib
@@ -99,10 +101,11 @@ def solutions_digest(solutions: list[Grid]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def signature(order: int, seed: int, blanks: int, policy: str) -> tuple:
+def signature(order: int, seed: int, blanks: int, policy: str,
+              prune: bool = False) -> tuple:
     limit = None if order <= 3 else 1
     report = solve(seeded_board(order, seed, blanks), cap=CAP, limit=limit,
-                   branch=policy)
+                   branch=policy, prune=prune)
     return (report.solution_count, report.trials, report.propagation_passes,
             report.truncated, report.terminal_event,
             solutions_digest(report.solutions))
@@ -111,8 +114,14 @@ def signature(order: int, seed: int, blanks: int, policy: str) -> tuple:
 @pytest.mark.parametrize("policy", [FC, FB])
 @pytest.mark.parametrize("order,seed,blanks", sorted(GOLDEN))
 def test_counters_match_golden_table(order, seed, blanks, policy):
-    assert signature(order, seed, blanks, policy) == \
-        GOLDEN[order, seed, blanks][policy]
+    golden = GOLDEN[order, seed, blanks][policy]
+    assert signature(order, seed, blanks, policy) == golden
+    # The pruned search gives every field but the counters, which it can
+    # only lower.
+    count, trials, passes, *rest = signature(order, seed, blanks, policy,
+                                             prune=True)
+    assert (count, *rest) == (golden[0], *golden[3:])
+    assert trials <= golden[1] and passes <= golden[2]
 
 
 # The digests above were produced by the engine itself; at orders 4-5 no

@@ -573,6 +573,18 @@ def test_counters_match_the_set_based_restatement(branch):
                    report.solutions[0].cells if report.solutions else None)
             assert got == ref_solve(order, puzzle, limit, branch)
             seen.add((report.terminal_event, report.truncated))
+        # The pruned search cuts only subtrees with no completion, so it
+        # keeps every field but the counters, and those never rise.
+        for limit in (None, 1, 2) if order <= 3 else limits:
+            base, pruned = (solve(Grid(order, puzzle), cap=10 ** 6,
+                                  limit=limit, branch=branch, prune=prune)
+                            for prune in (False, True))
+            assert (pruned.solution_count, pruned.solutions, pruned.truncated,
+                    pruned.terminal_event) == (
+                base.solution_count, base.solutions, base.truncated,
+                base.terminal_event)
+            assert pruned.trials <= base.trials
+            assert pruned.propagation_passes <= base.propagation_passes
     # Each root event occurs, and search both stops early and runs out.
     assert seen >= {(Event.E1_CONTRADICTION, False), (Event.E2_SOLVED, False),
                     (Event.E3_EXHAUSTED_BY_SEARCH, False),
@@ -690,7 +702,8 @@ def test_exhaustive_counts_match_the_exact_cover_oracle(order, blanks,
     count and on every solution only if both are right.  The boards come
     from one fixed seed per order.  solve keeps to the first-large blank
     ranges, as the relabelling test does; past them (the last row) its
-    work has no bound, and only count_solutions meets the oracle."""
+    default search has no bound on its work, so there it runs pruned by
+    the cover rule, which gives the same count and solutions."""
     rng = random.Random(110 + order)
     puzzles = [delete_cells(shuffled_valid_grid(order, rng),
                             rng.randint(*blanks), rng) for _ in range(boards)]
@@ -700,10 +713,10 @@ def test_exhaustive_counts_match_the_exact_cover_oracle(order, blanks,
     for puzzle in puzzles:
         expected = exact_cover_solutions(order, puzzle)
         assert count_solutions(Grid(order, puzzle)) == len(expected)
-        if blanks[1] <= 250:
-            report = solve(Grid(order, puzzle), cap=10 ** 6)
-            assert report.solution_count == len(expected)
-            assert _solution_set(report) == expected
+        report = solve(Grid(order, puzzle), cap=10 ** 6,
+                       prune=blanks[1] > 250)
+        assert report.solution_count == len(expected)
+        assert _solution_set(report) == expected
         counts.append(len(expected))
     assert max(counts) > 1
     if order == 2:
