@@ -26,15 +26,12 @@ fails once the line is read.  A usage error writes the usage line and
 rewrapped to the terminal, and raises SystemExit(0); -h takes nothing
 after it in the same token, so -hh is an error.
 
-`count` with neither --stats nor --limit prints only `solutions=N`, and
-solver.count_solutions answers it; every other solve and count runs
-solver.solve, whose first solution and limited count are what the output
-shows.  With --stats, whose line shows solve's trials and passes, solve
-runs its default search; without, it runs pruned by the cover rule
-(prune=True), which prints the same board and count.  All are exact, but
-each of the other two ends on a board where the default search has no
-practical end: the pruned search on the blank 25x25 board, and
-count_solutions on Norvig's "impossible" puzzle.
+Each solve and count runs the search whose output it prints (solver's
+docstring tells the three apart).  A bare `count`, with neither --stats
+nor --limit, prints only `solutions=N` and runs count_solutions.  With
+--stats, whose line shows the trials and passes, solve runs its default
+search.  A plain `solve` and `count --limit` print the default search's
+board and `N+`, and run solve(..., prune=True).
 
 `sieve N` writes the decimal text that `sieve.prime_text` makes, one
 decimal block of 10**4 numbers per write, so neither a list of the primes

@@ -7,8 +7,9 @@ singleton is assigned on the spot, and a sweep that assigns nothing leaves
 the rest to trial and error, naming as it goes the cell with the fewest
 candidates, so search never rescans the blanks to choose one.  Each trial
 speculatively assigns one candidate at the branching cell and propagates
-again, in one loop over a stack of frames; trials are counted, every
-solution is counted, and enumeration is exhaustive unless a limit is set.
+again, in one loop over a stack of frames, _search, which solve and
+count_solutions both run; trials are counted, every solution is counted,
+and enumeration is exhaustive unless a limit is set.
 
 The state is flat.  Cell (i, j) of an m×m board is index k = (i-1)·m + j-1
 of one cell list, and the 3m unit words share one list, built from the
@@ -18,28 +19,28 @@ rebuilds from the cells it leaves blank.  A search frame
 saves its words and open list (less its branch cell), never its cells; the
 deepest frame with values left restores them after a dead end or a
 solution, so propagation must replace the open list, never mutate it.
-The sweep itself is one private function on bare lists, _sweep: solve
+The sweep itself is one private function on bare lists, _sweep: _search
 calls it on its own locals and branches on the cell it names, and
 propagate wraps it for a SolverState and drops that cell.
 A placement clears its value's bit by XOR, which is exact only because
 the bit is known to be in all three words.
 
-count_solutions is a second search, for the number of solutions alone.
-It adds the exact-cover column rule (Knuth, "Dancing Links"), read off
-the same words by _cover: a value with no place in a unit is a dead end,
-one with a single place is placed there, and one with two places is a way
-to branch.  It settles boards whose naked-singles search has no practical
-end: Norvig's "impossible" puzzle in 10 trials, where solve ran for over
-15 minutes.  solve(..., prune=True) runs the rule as a test alone: at
-each stall, on a copy of the words, a stall the rule proves dead is a
-dead end.  Its branch cells, values and order of solutions stay solve's
-own, and only its trials and passes fall: the blank 25×25 board's first
-solution takes 485 trials, where the default search did not end in 25
-minutes.  So the command line runs, per command, the search whose output
-it prints: solve's default search for `solve --stats` and `count
---stats`, which show the counters; the pruned one for a plain `solve`
-and `count --limit`, whose board and + depend on the search tree alone;
-count_solutions for a bare `count`, which prints only the number.
+At a stall (E3) _search runs one of three rules before it branches; two
+read the exact-cover column rule (Knuth, "Dancing Links") off the same
+words, by _cover: a value with no place in a unit is a dead end, one with
+a single place is placed there (a dead end too if that forces a cell to
+two values), and the sweep runs again, to a fixpoint.  None, solve's
+default search, branches at once.  _PRUNE, solve(..., prune=True), runs
+the rule as a test alone, on a copy of the words: a stall it proves dead
+is a dead end, the branch cells, values and order of solutions stay the
+default search's, and only trials and passes fall (the blank 25×25
+board's first solution takes 485 trials; the default search did not end
+in 25 minutes).  _COVER, count_solutions, runs it in place and, where the
+noted cell has over two candidates, branches by _pair on the lowest value
+with exactly two places in a unit, if any; each choice splits the
+completions exactly.  It settles Norvig's "impossible" puzzle in 10
+trials, where the default search ran for over 15 minutes, but its tree is
+not solve's, so only its count is returned.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ _E3 = Event.E3_EXHAUSTED_BY_SEARCH
 FEWEST_CANDIDATES = "fewest-candidates"
 FIRST_BLANK = "first-blank"
 
+# Rules _search may run at each stall before it branches (None runs none):
+# the exact-cover rule as a test on a copy of the words, or in place.
+_PRUNE = "prune"
+_COVER = "cover"
+
 
 class SolverState(_Record):
     """A board as flat cells plus the missing-value words and open cells.
@@ -86,9 +92,9 @@ class SolverState(_Record):
     holds the values absent from each unit, value d at bit d-1: row i at
     i-1, column j at m + j-1, block (k, l) at 2m + (k-1)*n + l-1.  open is
     the ascending list of blank flat indices.  All are kept in lockstep,
-    except that inside solve an open cell may hold a value left by a failed
-    trial; grid, blanks, and the *_missing SmallSet views are derived from
-    them.
+    except that inside a search an open cell may hold a value left by a
+    failed trial; grid, blanks, and the *_missing SmallSet views are
+    derived from them.
     Two states are == when all four fields are; states are unhashable.
     """
 
@@ -229,10 +235,10 @@ def _sweep(cells: list[int], words: list[int],
            ) -> tuple[list[int], Event, int, int]:
     """propagate on bare lists: the new open list, the event, the pass
     count and, after E3, a kept cell with the fewest candidates (the first
-    in row-major order; -1 after E1 or E2).  open_ is never mutated: solve's
-    trials share one list.  Every pass builds a new list, so the one
-    returned after E3 is held by no one else, and solve takes its branch
-    cell out of it in place to make the frame's list."""
+    in row-major order; -1 after E1 or E2).  open_ is never mutated: a
+    search's trials share one list.  Every pass builds a new list, so the
+    one returned after E3 is held by no one else, and _search takes its
+    branch cell out of it in place to make the frame's list."""
     if not open_:
         return open_, _E2, 0, -1
     passes = 0
@@ -303,14 +309,11 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
     FIRST_BLANK always takes the first blank, which changes the trial count
     but never the solution count.
 
-    With `prune`, each stall of the sweep is also tested by the exact-cover
-    column rule (hidden singles to a fixpoint, on a copy of the words), and
-    a stall it proves to have no completion is a dead end, as E1 is.  The
-    state the search branches from is never changed, and only subtrees
-    with no completion are cut, so solution_count, the retained solutions
-    and their order, truncated and terminal_event equal those of
-    prune=False.  trials and propagation_passes then count the pruned
-    search (the rule's own sweeps are not passes), and are never higher.
+    With `prune`, a stall the exact-cover rule proves to have no completion
+    is a dead end, as E1 is (see the module docstring).  solution_count,
+    the retained solutions and their order, truncated and terminal_event
+    equal those of prune=False; trials and propagation_passes count the
+    pruned search (the rule's own sweeps are not passes), never higher.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -318,33 +321,55 @@ def solve(g: Grid, cap: int = 1, limit: int | None = None,
         raise ValueError("limit must be >= 1")
     if branch not in (FEWEST_CANDIDATES, FIRST_BLANK):
         raise ValueError(f"unknown branch policy {branch!r}")
+    return _search(g, cap, limit, branch == FIRST_BLANK,
+                   _PRUNE if prune else None)
 
+
+def count_solutions(g: Grid) -> int:
+    """The exact number of completions of the puzzle, as an int.
+
+    It equals solve(g, cap=0).solution_count.  Raises ConflictError as
+    solve does, and never writes to g.
+    """
+    return _search(g, 0, None, False, _COVER).solution_count
+
+
+def _search(g: Grid, cap: int, limit: int | None, first_blank: bool,
+            rule: str | None) -> SolveReport:
+    """solve's and count_solutions' search, on checked arguments; `rule`,
+    None, _PRUNE or _COVER, runs at each stall (see the module docstring)."""
     state = init_state(g)
     cells, words = state.cells, state.words
     units = unit_table(state.order)
     solutions: list[Grid] = []
-    count = 0
-    trials = 0
+    count = trials = 0
     # Each frame is (untried, k, saved words, open list less k) and stays on
     # the stack only while it has values left to try.  Cells need no copy:
     # below a frame only its open cells are written, so every other cell
     # keeps its value on the path to it, and an open cell a failed trial
     # wrote is rewritten before any E2 reads the cells through state.grid.
     stack: list[tuple[int, int, list[int], list[int]]] = []
-    first_blank = branch == FIRST_BLANK
     open_, root_event, passes_total, noted = _sweep(cells, words, units,
                                                     state.open)
     event = root_event
+    cover = rule is _COVER
     while True:
         # The rule writes only open cells, which a failed trial may write.
-        if (prune and event is _E3 and _cover(cells, words[:], units, open_,
-                                              noted)[1] is _E1):
-            event = _E1
+        if rule and event is _E3:
+            if cover:
+                open_, event, noted = _cover(cells, words, units, open_,
+                                             noted)
+            elif _cover(cells, words[:], units, open_, noted)[1] is _E1:
+                event = _E1
         if event is _E3:
             k = open_[0] if first_blank else noted
             a, b, c = units[k]
             untried = words[a] & words[b] & words[c]
             saved_words = words[:]
+            if cover and untried.bit_count() > 2:
+                k, untried = _pair(saved_words, units, open_, k, untried,
+                                   stack)
+                a, b, c = units[k]
             open_.remove(k)
         else:
             if event is _E2:
@@ -414,12 +439,9 @@ def _cover(cells: list[int], words: list[int],
            units: tuple[tuple[int, int, int], ...], open_: list[int],
            noted: int) -> tuple[list[int], Event, int]:
     """The exact-cover column rule after a sweep stalled (E3) with `noted`,
-    to a fixpoint: the open list, event and noted cell _sweep would give
-    had it placed hidden singles too.  Each round scans the open cells
-    once with _places.  A missing value with no place is E1; values with
-    one place are placed there (E1 if that forces one cell to two values),
-    and the sweep runs again; with neither, E3 stands.  Only open cells
-    and words are written, and open_ is never mutated."""
+    to a fixpoint, one _places scan per round: the open list, event and
+    noted cell _sweep would give had it placed hidden singles too.  Only
+    open cells and words are written, and open_ is never mutated."""
     while True:
         once, twice = _places(words, units, open_)
         # A unit's places cover at most its missing values, so once and
@@ -451,67 +473,26 @@ def _cover(cells: list[int], words: list[int],
             return open_, event, noted
 
 
-def count_solutions(g: Grid) -> int:
-    """The exact number of completions of the puzzle, as an int.
-
-    It equals solve(g, cap=0).solution_count, by another search, which
-    keeps no trials, passes or boards.  Each stall of the sweep is followed
-    by one scan of the open cells that marks, per unit, the values with at
-    least one and at least two places.  A missing value with no place is
-    a dead end; one with a single place is placed there (a hidden single),
-    unless that forces a cell to two values, a dead end too, and the sweep
-    runs again.  With nothing forced, it branches on a two-candidate cell,
-    else on the lowest value with exactly two places in some unit (the
-    first such unit; a second scan counts three places), else on the cell
-    the sweep noted.  Each choice splits the completions exactly.  Raises
-    ConflictError as solve does, and never writes to g.
-    """
-    state = init_state(g)
-    cells, words = state.cells, state.words
-    units = unit_table(state.order)
-    count = 0
-    # Each frame is (untried, k, saved words, open list less k), as in solve.
-    stack: list[tuple[int, int, list[int], list[int]]] = []
-    open_, event, _, noted = _sweep(cells, words, units, state.open)
-    while True:
-        if event is _E3:
-            open_, event, noted = _cover(cells, words, units, open_, noted)
-        if event is _E3:
-            saved_words = words[:]
-            k = noted
-            a, b, c = units[k]
-            untried = words[a] & words[b] & words[c]
-            if untried.bit_count() > 2:
-                thrice = [0] * len(words)
-                _, twice = _places(words, units, open_, thrice)
-                pairs = [t & ~h for t, h in zip(twice, thrice)]
-                values = reduce(or_, pairs)
-                if values:
-                    untried = values & -values
-                    u = next(u for u, pair in enumerate(pairs)
-                             if pair & untried)
-                    k, other = [j for j in open_ if u in units[j]
-                                and untried & words[units[j][0]]
-                                & words[units[j][1]] & words[units[j][2]]]
-                    a, b, c = units[k]
-                    rest = open_[:]
-                    rest.remove(other)
-                    stack.append((untried, other, saved_words, rest))
-            open_.remove(k)
-        else:
-            if event is _E2:
-                count += 1
-            if not stack:
-                return count
-            untried, k, saved_words, open_ = stack.pop()
-            words[:] = saved_words
-            a, b, c = units[k]
-        bit = untried & -untried
-        untried ^= bit
-        if untried:
-            stack.append((untried, k, saved_words, open_))
-        cells[k] = bit.bit_length()
-        words[a] ^= bit
-        words[b] ^= bit
-        words[c] ^= bit
-        open_, event, _, noted = _sweep(cells, words, units, open_)
+def _pair(words: list[int], units: tuple[tuple[int, int, int], ...],
+          open_: list[int], k: int, untried: int,
+          stack: list[tuple[int, int, list[int], list[int]]]
+          ) -> tuple[int, int]:
+    """The cell and values the cover search tries at a stall whose noted
+    cell k has the candidates `untried`, over two: the lowest value with
+    exactly two places in a unit (the first such unit; a second scan counts
+    three places) at its first place, once the frame for the other place,
+    which keeps `words`, the stall's saved copy, is on `stack`; else k."""
+    thrice = [0] * len(words)
+    _, twice = _places(words, units, open_, thrice)
+    pairs = [t & ~h for t, h in zip(twice, thrice)]
+    values = reduce(or_, pairs)
+    if not values:
+        return k, untried
+    bit = values & -values
+    u = next(u for u, pair in enumerate(pairs) if pair & bit)
+    k, other = [j for j in open_ if u in units[j] and bit & words[units[j][0]]
+                & words[units[j][1]] & words[units[j][2]]]
+    rest = open_[:]
+    rest.remove(other)
+    stack.append((bit, other, words, rest))
+    return k, bit

@@ -20,6 +20,12 @@ CLASSIC_81 = ("530070000600195000098000060800060003400803001"
 # clues, no completion.
 IMPOSSIBLE_81 = (".....5.8....6.1.43..........1.5........1.6...3..."
                  "....553.....61........4.........")
+# Arto Inkala's 2012 puzzle and Norvig's hard1, in classic form: one
+# solution each.
+INKALA_81 = ("800000000003600000070090200050007000000045700"
+             "000100030001000068008500010090000400")
+HARD1_81 = ("4.....8.5.3..........7......2.....6.....8.4......"
+            "1.......6.3.7.5..2.....1.4......")
 # A complete 4x4 board whose rows and columns are permutations but whose
 # blocks repeat values.
 INVALID_4 = "2\n1 2 3 4\n2 1 4 3\n3 4 1 2\n4 3 2 1\n"

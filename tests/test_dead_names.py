@@ -1,5 +1,6 @@
 """Every module-level name the package defines or imports is read somewhere
-in the package, so a refactor leaves no table or helper that nothing calls.
+in the package, so a refactor leaves no table or helper that nothing calls;
+and the solver's searches share one frame loop.
 
 A name counts as read where its own module loads it, where its module's
 __all__ lists it, or where another module of the package imports it and
@@ -113,3 +114,18 @@ def test_dead_names_finds_what_nothing_reads():
     # is read only by orphan, which counts, though nothing calls orphan.
     assert dead_names(sources) == ["__init__.kept", "a.orphan", "a.os",
                                    "a.unused_import", "b.unused_import"]
+
+
+def test_one_function_pops_the_frame_stack():
+    # solve and count_solutions run one loop, so budgets and counters
+    # added to the search are written once.
+    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    popping = [function.name for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef)
+               and any(isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "pop"
+                       and isinstance(node.func.value, ast.Name)
+                       and node.func.value.id == "stack"
+                       for node in ast.walk(function))]
+    assert popping == ["_search"]

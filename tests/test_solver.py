@@ -3,13 +3,16 @@ import sys
 
 import pytest
 
-from bitsudoku.grid import Grid, first_conflict, is_sudoku_matrix, render
+from bitsudoku.grid import (Grid, first_conflict, is_sudoku_matrix, parse,
+                            render)
 from bitsudoku.smallset import SmallSet
 from bitsudoku.solver import (
+    _COVER,
     FEWEST_CANDIDATES,
     FIRST_BLANK,
     ConflictError,
     Event,
+    _search,
     assign,
     candidates,
     count_solutions,
@@ -19,6 +22,9 @@ from bitsudoku.solver import (
 )
 
 from oracles import (
+    HARD1_81,
+    IMPOSSIBLE_81,
+    INKALA_81,
     brute_force_count,
     brute_force_solutions,
     delete_cells,
@@ -600,6 +606,20 @@ def test_branch_policies_agree_on_count():
         a = solve(g, cap=0, branch=FEWEST_CANDIDATES)
         b = solve(g, cap=0, branch=FIRST_BLANK)
         assert a.solution_count == b.solution_count == count_solutions(g)
+
+
+@pytest.mark.parametrize("text, count, trials", [
+    (INKALA_81, 1, 320),
+    (HARD1_81, 1, 100),
+    (IMPOSSIBLE_81, 0, 10),
+    ("2\n" + "0 0 0 0\n" * 4, 288, 556),
+], ids=["inkala", "hard1", "impossible", "blank4"])
+def test_cover_search_tree_size(text, count, trials):
+    # count_solutions reports its count alone, so its tree is pinned here:
+    # a change in the rule or in the value pair it branches on moves the
+    # trials even where the count stays right.
+    report = _search(parse(text), 0, None, False, _COVER)
+    assert (report.solution_count, report.trials) == (count, trials)
 
 
 def _solution_set(report):
