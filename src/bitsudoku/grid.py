@@ -13,8 +13,8 @@ reads the clues at C speed, as SWAR ("SIMD within a register") lane
 sums: one int holds each cell's value bit in a 32-bit lane of its own,
 and a few whole-int shifts and adds sum every row, column and block at
 once, which struct formats then read out lane by lane.  Only a board
-whose sums lose bits to a carry is walked unit by unit to name its first
-repeat.
+whose sums lose bits to a carry is read again, cell by cell through
+unit_table, to name its first repeat.
 
 Text goes in and out through per-order tables.  parse reads a generic
 document row by row: each row's tokens are looked up at once, and only a
@@ -192,21 +192,16 @@ def unit_table(order: int) -> tuple[tuple[int, int, int], ...]:
 
 @cache
 def _scan_tables(order: int) -> tuple[tuple[bytes, ...],
-                                      tuple[struct.Struct, ...],
-                                      itemgetter, tuple[slice, ...]]:
-    """The lane sums' tables and the fallback's.
+                                      tuple[struct.Struct, ...]]:
+    """The lane sums' tables.
 
     Byte plane p of a 32-bit lane: a translate table from each value v in
     8p+1..8p+8 to byte p of its bit 1 << (v-1), and from 0 (a blank) and
     every other value to 0; one plane per 8 values.
     The readers of the row, column and block sums: little-endian 32-bit
     lanes at r·m, at 0..m-1, and at K·n·m + L·n, with pad bytes between,
-    so they hold on any host.  Then, for the walk unit by unit, a getter
-    of the flat cells block by block, row-major in each; and each unit's
-    slice, in unit_table's order, of the flat cells followed by that
-    block-major copy."""
+    so they hold on any host."""
     m = order * order
-    mm = m * m
     planes = tuple((bytes(8 * p + 1) + bytes(1 << b for b in range(8)))
                    .ljust(256, b"\0") for p in range(-(-m // 8)))
 
@@ -217,15 +212,9 @@ def _scan_tables(order: int) -> tuple[tuple[bytes, ...],
             at = k + 1
         return struct.Struct(fmt)
 
-    readers = (lanes(range(0, mm, m)), lanes(range(m)),
-               lanes(K * order * m + L * order
-                     for K in range(order) for L in range(order)))
-    table = unit_table(order)
-    block_major = itemgetter(*sorted(range(mm), key=lambda k: table[k][2]))
-    units = ([slice(i, i + m) for i in range(0, mm, m)]
-             + [slice(j, mm, m) for j in range(m)]
-             + [slice(i, i + m) for i in range(mm, 2 * mm, m)])
-    return planes, readers, block_major, tuple(units)
+    return planes, (lanes(range(0, m * m, m)), lanes(range(m)),
+                    lanes(K * order * m + L * order
+                          for K in range(order) for L in range(order)))
 
 
 def _window(x: int, step: int, width: int) -> int:
@@ -275,7 +264,7 @@ def unit_scan(order: int, cells: bytearray | list[int]
     _window(R, 32m, n) at lanes K·n·m + L·n, and columns _window(x, 32m, m)
     at lanes 0..m-1.  A lane sums at most m bits below 2^m, less than
     m·2^(m-1) < 2^32 for m <= 25, so no lane carries into the next."""
-    planes, (rows, columns, blocks), block_major, units = _scan_tables(order)
+    planes, (rows, columns, blocks) = _scan_tables(order)
     cells = bytes(cells)
     lanes = bytearray(4 * len(cells))
     for p, plane in enumerate(planes):
@@ -293,14 +282,20 @@ def unit_scan(order: int, cells: bytearray | list[int]
     clues = len(cells) - cells.count(0)
     if sum(map(int.bit_count, words)) == 3 * clues:
         return words, None
-    # A repeat lost bits: name the first.
-    values = [*cells, *block_major(cells)]
-    for u, unit in enumerate(units):
-        seen = set()
-        for v in filter(None, values[unit]):
-            if v in seen:
-                return None, (("row", "column", "block")[u // m], u % m + 1, v)
-            seen.add(v)
+    # A repeat lost bits: name the first.  Row-major order reads every
+    # unit in its own reading order, so one pass finds each unit's first
+    # repeated value.
+    seen = [0] * (3 * m)
+    repeat = seen[:]
+    for v, units in zip(cells, unit_table(order)):
+        if v:
+            bit = 1 << v
+            for u in units:
+                if seen[u] & bit and not repeat[u]:
+                    repeat[u] = v
+                seen[u] |= bit
+    u = next(u for u, v in enumerate(repeat) if v)
+    return None, (("row", "column", "block")[u // m], u % m + 1, repeat[u])
 
 
 def first_conflict(g: Grid) -> tuple[str, int, int] | None:

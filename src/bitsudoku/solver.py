@@ -36,19 +36,18 @@ is a dead end, the branch cells, values and order of solutions stay the
 default search's, and only trials and passes fall (the blank 25×25
 board's first solution takes 485 trials; the default search did not end
 in 25 minutes).  _COVER, count_solutions, runs it in place and, where the
-noted cell has over two candidates, branches by _pair on the lowest value
-with exactly two places in a unit, if any; each choice splits the
-completions exactly.  It settles Norvig's "impossible" puzzle in 10
-trials, where the default search ran for over 15 minutes, but its tree is
-not solve's, so only its count is returned.
+noted cell has over two candidates, branches instead on the two places of
+the lowest value with exactly two places in a unit, if _pair finds one;
+each choice splits the completions exactly.  It settles Norvig's
+"impossible" puzzle in 10 trials, where the default search ran for over
+15 minutes, but its tree is not solve's, so only its count is returned.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache, reduce
+from functools import cache
 from itertools import compress
-from operator import or_
 
 from .grid import Grid, cell_bytes, cell_index, unit_scan, unit_table
 from .smallset import SmallSet, _Record
@@ -337,7 +336,8 @@ def count_solutions(g: Grid) -> int:
 def _search(g: Grid, cap: int, limit: int | None, first_blank: bool,
             rule: str | None) -> SolveReport:
     """solve's and count_solutions' search, on checked arguments; `rule`,
-    None, _PRUNE or _COVER, runs at each stall (see the module docstring)."""
+    None, _PRUNE or _COVER, runs at each stall (see the module docstring).
+    It is the one function that pushes or pops a frame."""
     state = init_state(g)
     cells, words = state.cells, state.words
     units = unit_table(state.order)
@@ -366,9 +366,13 @@ def _search(g: Grid, cap: int, limit: int | None, first_blank: bool,
             a, b, c = units[k]
             untried = words[a] & words[b] & words[c]
             saved_words = words[:]
-            if cover and untried.bit_count() > 2:
-                k, untried = _pair(saved_words, units, open_, k, untried,
-                                   stack)
+            pair = cover and untried.bit_count() > 2 and _pair(
+                words, units, open_)
+            if pair:
+                # One frame per place of the value; the other place's waits.
+                untried, k, other = pair
+                stack.append((untried, other, saved_words,
+                              [j for j in open_ if j != other]))
                 a, b, c = units[k]
             open_.remove(k)
         else:
@@ -403,35 +407,20 @@ def _search(g: Grid, cap: int, limit: int | None, first_blank: bool,
 
 
 def _places(words: list[int], units: tuple[tuple[int, int, int], ...],
-            open_: list[int], thrice: list[int] | None = None
-            ) -> tuple[list[int], list[int]]:
+            open_: list[int]) -> tuple[list[int], list[int]]:
     """Per unit word, the values with at least one and at least two places
-    among the open cells, and, into `thrice` when given, three."""
+    among the open cells."""
     once = [0] * len(words)
     twice = once[:]
-    if thrice is None:
-        for k in open_:
-            a, b, c = units[k]
-            p = words[a] & words[b] & words[c]
-            twice[a] |= once[a] & p
-            once[a] |= p
-            twice[b] |= once[b] & p
-            once[b] |= p
-            twice[c] |= once[c] & p
-            once[c] |= p
-    else:
-        for k in open_:
-            a, b, c = units[k]
-            p = words[a] & words[b] & words[c]
-            thrice[a] |= twice[a] & p
-            twice[a] |= once[a] & p
-            once[a] |= p
-            thrice[b] |= twice[b] & p
-            twice[b] |= once[b] & p
-            once[b] |= p
-            thrice[c] |= twice[c] & p
-            twice[c] |= once[c] & p
-            once[c] |= p
+    for k in open_:
+        a, b, c = units[k]
+        p = words[a] & words[b] & words[c]
+        twice[a] |= once[a] & p
+        once[a] |= p
+        twice[b] |= once[b] & p
+        once[b] |= p
+        twice[c] |= once[c] & p
+        once[c] |= p
     return once, twice
 
 
@@ -474,25 +463,25 @@ def _cover(cells: list[int], words: list[int],
 
 
 def _pair(words: list[int], units: tuple[tuple[int, int, int], ...],
-          open_: list[int], k: int, untried: int,
-          stack: list[tuple[int, int, list[int], list[int]]]
-          ) -> tuple[int, int]:
-    """The cell and values the cover search tries at a stall whose noted
-    cell k has the candidates `untried`, over two: the lowest value with
-    exactly two places in a unit (the first such unit; a second scan counts
-    three places) at its first place, once the frame for the other place,
-    which keeps `words`, the stall's saved copy, is on `stack`; else k."""
-    thrice = [0] * len(words)
-    _, twice = _places(words, units, open_, thrice)
+          open_: list[int]) -> tuple[int, int, int] | None:
+    """The lowest value with exactly two places among the open cells in a
+    unit, first unit on ties, as (its bit, its first place, the other), or
+    None; a rare path, so it counts three places in a rolled loop."""
+    once, twice, thrice = ([0] * len(words) for _ in range(3))
+    for k in open_:
+        a, b, c = units[k]
+        p = words[a] & words[b] & words[c]
+        for u in units[k]:
+            thrice[u] |= twice[u] & p
+            twice[u] |= once[u] & p
+            once[u] |= p
     pairs = [t & ~h for t, h in zip(twice, thrice)]
-    values = reduce(or_, pairs)
-    if not values:
-        return k, untried
-    bit = values & -values
-    u = next(u for u, pair in enumerate(pairs) if pair & bit)
+    # A unit holds the lowest value of all only as its own lowest, so one
+    # min of (lowest value, unit) picks the value, then the first unit.
+    bit, u = min(((pair & -pair, u) for u, pair in enumerate(pairs) if pair),
+                 default=(0, -1))
+    if not bit:
+        return None
     k, other = [j for j in open_ if u in units[j] and bit & words[units[j][0]]
                 & words[units[j][1]] & words[units[j][2]]]
-    rest = open_[:]
-    rest.remove(other)
-    stack.append((bit, other, words, rest))
-    return k, bit
+    return bit, k, other

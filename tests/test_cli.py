@@ -364,9 +364,8 @@ PAD = "0" * 5000
 # (order, seed, blanks) of a board of tests/test_golden.py -> the first 16
 # hex digits of the sha256 of the stdout of `solve --stats`, of `count
 # --stats` (`count --limit 1 --stats` at orders 4-5) and of a plain `solve`.
-# The first two were recorded from the engine as it stood before
-# `block_of` and `is_consistent_partial` left the package, so a refactor
-# must reproduce them byte for byte; any drift is a behaviour change.  The
+# The first two were recorded from an earlier engine, so a refactor must
+# reproduce them byte for byte; any drift is a behaviour change.  The
 # third is the first without its stats line, though a plain solve runs the
 # pruned search: it must print the same board.
 # Two inputs that run unbounded today, `count --stats` of Norvig's

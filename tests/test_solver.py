@@ -1,10 +1,11 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from bitsudoku.grid import (Grid, first_conflict, is_sudoku_matrix, parse,
-                            render)
+                            render, unit_table)
 from bitsudoku.smallset import SmallSet
 from bitsudoku.solver import (
     _COVER,
@@ -12,6 +13,8 @@ from bitsudoku.solver import (
     FIRST_BLANK,
     ConflictError,
     Event,
+    _cover,
+    _pair,
     _search,
     assign,
     candidates,
@@ -620,6 +623,50 @@ def test_cover_search_tree_size(text, count, trials):
     # trials even where the count stays right.
     report = _search(parse(text), 0, None, False, _COVER)
     assert (report.solution_count, report.trials) == (count, trials)
+
+
+def _ref_pair(order, words, open_):
+    """_pair by a Counter of (unit, value) places among the open cells."""
+    units = unit_table(order)
+    has = {k: [d for d in range(1, order * order + 1)
+               if all(words[u] >> (d - 1) & 1 for u in units[k])]
+           for k in open_}
+    places = Counter((u, d) for k in open_ for d in has[k] for u in units[k])
+    pairs = sorted((d, u) for (u, d), count in places.items() if count == 2)
+    if not pairs:
+        return None
+    d, u = pairs[0]
+    first, other = [k for k in open_ if u in units[k] and d in has[k]]
+    return 1 << (d - 1), first, other
+
+
+def test_pair_matches_a_counter_of_places():
+    """At each stall the cover rule leaves on one path down each seeded
+    board (its first open cell given its lowest candidate, then propagated
+    and covered again), _pair names the value and places a Counter does."""
+    seen = set()
+    boards = [(2, [[0] * 4 for _ in range(4)])]
+    boards += [(order, puzzle) for order, puzzle, _ in _counter_corpus()]
+    for order, puzzle in boards:
+        m = order * order
+        st = init_state(Grid(order, puzzle))
+        units = unit_table(order)
+        while True:
+            st, event, _ = propagate(st)
+            if event is Event.E3_EXHAUSTED_BY_SEARCH:
+                st.open, event, _ = _cover(st.cells, st.words, units,
+                                           st.open, -1)
+            if event is not Event.E3_EXHAUSTED_BY_SEARCH:
+                break
+            got = _pair(st.words, units, st.open)
+            assert got == _ref_pair(order, st.words, st.open)
+            seen.add(got is None)
+            i, j = divmod(st.open[0], m)
+            assign(st, i + 1, j + 1,
+                   next(candidates(st, i + 1, j + 1).elements()))
+    # Both results occur: None (at the blank 4×4's root every value has
+    # four places in every unit) and a value with its two places.
+    assert seen == {True, False}
 
 
 def _solution_set(report):
